@@ -41,7 +41,7 @@ cmake --build build -j "${JOBS}" \
  ctest --output-on-failure -j "${JOBS}" \
        -R '^(StorageGovernorTest|DiskPressureKillPointTest|DiskPressureE2eTest)')
 
-echo "== tier-1: TSan lane (scheduler/supervision/server/executor/multiband/net/ingest/obs) =="
+echo "== tier-1: TSan lane (scheduler/supervision/server/executor/multiband/net/ingest/obs/shared plans) =="
 cmake -B build-tsan -S . -DGEOSTREAMS_SANITIZE=thread \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-tsan -j "${JOBS}" \
@@ -49,10 +49,11 @@ cmake --build build-tsan -j "${JOBS}" \
                executor_test multiband_test net_test ingest_test obs_test \
                kernels_test journal_test journal_killpoint_test \
                tile_store_test tile_store_retention_test \
-               tile_store_churn_test storage_governor_test catchup_test
+               tile_store_churn_test storage_governor_test catchup_test \
+               shared_plan_test
 (cd build-tsan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|TileStoreChurnTest|StorageGovernorTest|CatchUpTest|Workers/SharedPlanDifferentialTest|SharedPlanTest|SharedPlanLifecycleTest)')
 
 echo "== tier-1: ASan+UBSan lane (same concurrency/supervision set) =="
 cmake -B build-asan -S . "-DGEOSTREAMS_SANITIZE=address,undefined" \
@@ -63,10 +64,10 @@ cmake --build build-asan -j "${JOBS}" \
                kernels_test journal_test journal_killpoint_test \
                journal_compaction_test tile_store_test \
                tile_store_retention_test storage_governor_test \
-               disk_pressure_e2e_test catchup_test
+               disk_pressure_e2e_test catchup_test shared_plan_test
 (cd build-asan && \
  ctest --output-on-failure -j "${JOBS}" \
-       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest)')
+       -R '^(SchedulerTest|SupervisorTest|SchedulerSupervisionTest|FaultInjectorTest|FaultInjectionE2eTest|FailureTest|DsmsServerTest|StageRunnerTest|BoundedEventQueueTest|PipelineTest|MultibandTest|WireProtocolTest|FrameDecoderTest|CommandDispatchTest|ClientSessionTest|NetServerE2eTest|IngestChecksumTest|ServerDlqTest|DeadLetterQueueTest|GeoStreamsClientTest|SocketUtilTest|IngestWireTest|IngestSessionTest|FlakySocketTest|ProducerE2eTest|ProducerAuthTest|JournalTest|JournalRecoveryTest|JournalFaultTest|DeadLetterStoreTest|CounterTest|MetricHistogramTest|MetricsRegistryTest|TraceTest|TraceRingTest|ObsIngestTest|ObsE2eTest|ObsSummaryTest|ObserveE2eStageTest|EventLogTest|LatencyPlaneE2eTest|KernelParityTest|FilterBatchTest|OperatorParityTest|SimdDispatchTest|TileStoreTest|TileStoreRecoveryTest|TileStoreRetentionTest|StorageGovernorTest|JournalCompactionTest|DiskPressureE2eTest|CatchUpTest|Workers/SharedPlanDifferentialTest|SharedPlanTest|SharedPlanLifecycleTest)')
 
 echo "== tier-1: scalar-only lane (GEOSTREAMS_SIMD=OFF) =="
 # The portable fallback must pass the same kernel/operator suites it

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace geostreams {
 
@@ -60,6 +61,16 @@ std::string StringPrintf(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+std::string FormatDouble(double v) {
+  char buf[32];
+  for (int precision = 6; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
 }
 
 }  // namespace geostreams

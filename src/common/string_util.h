@@ -29,6 +29,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Shortest "%g"-style spelling of `v` (6 to 17 significant digits)
+/// that parses back to exactly `v`: values printed this way round-trip
+/// through the query parser, so equal text means equal numbers.
+std::string FormatDouble(double v);
+
 }  // namespace geostreams
 
 #endif  // GEOSTREAMS_COMMON_STRING_UTIL_H_

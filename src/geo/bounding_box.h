@@ -76,7 +76,8 @@ struct BoundingBox {
 
   std::string ToString() const {
     if (empty()) return "bbox(empty)";
-    return StringPrintf("bbox(%g, %g, %g, %g)", min_x, min_y, max_x, max_y);
+    return "bbox(" + FormatDouble(min_x) + ", " + FormatDouble(min_y) + ", " +
+           FormatDouble(max_x) + ", " + FormatDouble(max_y) + ")";
   }
 };
 

@@ -36,7 +36,8 @@ std::string PolygonRegion::ToString() const {
   std::string s = "polygon(";
   for (size_t i = 0; i < vertices_.size(); ++i) {
     if (i) s += ", ";
-    s += StringPrintf("%g, %g", vertices_[i].first, vertices_[i].second);
+    s += FormatDouble(vertices_[i].first) + ", " +
+         FormatDouble(vertices_[i].second);
   }
   s += ")";
   return s;
@@ -58,7 +59,8 @@ std::string PolynomialConstraint::ToString() const {
   for (size_t i = 0; i < terms.size(); ++i) {
     const Term& t = terms[i];
     if (i) s += " + ";
-    s += StringPrintf("%g*x^%d*y^%d", t.coef, t.x_power, t.y_power);
+    s += FormatDouble(t.coef) +
+         StringPrintf("*x^%d*y^%d", t.x_power, t.y_power);
   }
   s += " <= 0";
   return s;
@@ -112,7 +114,8 @@ std::shared_ptr<ConstraintRegion> ConstraintRegion::Disk(double cx, double cy,
   auto region = std::make_shared<ConstraintRegion>(
       std::vector<PolynomialConstraint>{std::move(c)},
       BoundingBox(cx - r, cy - r, cx + r, cy + r));
-  region->query_form_ = StringPrintf("disk(%g, %g, %g)", cx, cy, r);
+  region->query_form_ = "disk(" + FormatDouble(cx) + ", " + FormatDouble(cy) +
+                       ", " + FormatDouble(r) + ")";
   region->is_disk_ = true;
   region->disk_cx_ = cx;
   region->disk_cy_ = cy;

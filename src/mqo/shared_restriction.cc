@@ -34,6 +34,20 @@ Status SharedRestrictionOp::UnregisterQuery(QueryId id) {
   return Status::OK();
 }
 
+Status SharedRestrictionOp::UpdateRegion(QueryId id, RegionPtr region) {
+  auto it = queries_.find(id);
+  if (it == queries_.end()) {
+    return Status::NotFound(StringPrintf(
+        "query %lld not registered", static_cast<long long>(id)));
+  }
+  if (!region) return Status::InvalidArgument("query needs a region");
+  GEOSTREAMS_RETURN_IF_ERROR(index_->Remove(id));
+  GEOSTREAMS_RETURN_IF_ERROR(index_->Insert(id, region->bounds()));
+  it->second.exact_needed = region->kind() != RegionKind::kBBox;
+  it->second.region = std::move(region);
+  return Status::OK();
+}
+
 Status SharedRestrictionOp::Consume(const StreamEvent& event) {
   switch (event.kind) {
     case EventKind::kFrameBegin:

@@ -31,6 +31,10 @@ class SharedRestrictionOp : public EventSink {
   /// region predicate is applied to the candidates.
   Status RegisterQuery(QueryId id, RegionPtr region, EventSink* sink);
   Status UnregisterQuery(QueryId id);
+  /// Replaces a registered query's region in place (same id, same
+  /// sink): the server's shared-plan demand propagation narrows or
+  /// widens what an upstream stream routes to a shared node.
+  Status UpdateRegion(QueryId id, RegionPtr region);
 
   size_t num_queries() const { return queries_.size(); }
   const RegionIndex& index() const { return *index_; }

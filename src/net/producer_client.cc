@@ -287,7 +287,8 @@ Status ProducerClient::ApplyLine(const std::string& line) {
   return Status::OK();
 }
 
-Status ProducerClient::PumpAcks(int timeout_ms) {
+Status ProducerClient::PumpAcks(int timeout_ms,
+                                const std::function<bool()>& done) {
   if (!connected()) return Status::Unavailable("not connected");
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
@@ -301,6 +302,7 @@ Status ProducerClient::PumpAcks(int timeout_ms) {
         GEOSTREAMS_RETURN_IF_ERROR(ApplyLine(*(*unit)->line));
       }
     }
+    if (done && done()) return Status::OK();
     const int remaining = timeout_ms <= 0 ? 0 : RemainingMs(deadline);
     GEOSTREAMS_ASSIGN_OR_RETURN(bool readable,
                                 socket_->PollReadable(remaining));
@@ -332,9 +334,12 @@ Status ProducerClient::AwaitWindow() {
   ++stats_.window_stalls;
   uint64_t progress_mark = acked_;
   int stalls = 0;
-  while (replay_.size() >= options_.window_messages) {
+  auto has_room = [this] {
+    return replay_.size() < options_.window_messages;
+  };
+  while (!has_room()) {
     if (!connected()) GEOSTREAMS_RETURN_IF_ERROR(Reconnect());
-    Status pumped = PumpAcks(options_.resend_timeout_ms);
+    Status pumped = PumpAcks(options_.resend_timeout_ms, has_room);
     if (!pumped.ok()) {
       Close();
       continue;
@@ -400,10 +405,14 @@ Status ProducerClient::Publish(const StreamEvent& event) {
   if (replay_bytes_ + pending.bytes.size() > options_.replay_max_bytes) {
     // Backpressure: wait once for acks to free room, then push the
     // problem to the caller rather than grow without bound.
-    Status pumped = PumpAcks(options_.resend_timeout_ms);
+    const size_t need = pending.bytes.size();
+    auto has_room = [this, need] {
+      return replay_bytes_ + need <= options_.replay_max_bytes;
+    };
+    Status pumped = PumpAcks(options_.resend_timeout_ms, has_room);
     if (!pumped.ok()) {
       GEOSTREAMS_RETURN_IF_ERROR(Reconnect());
-      Status retried = PumpAcks(options_.resend_timeout_ms);
+      Status retried = PumpAcks(options_.resend_timeout_ms, has_room);
       (void)retried;
     }
     if (replay_bytes_ + pending.bytes.size() > options_.replay_max_bytes) {
@@ -478,7 +487,7 @@ Status ProducerClient::Flush(int timeout_ms) {
     const int wait =
         std::min(std::max(options_.resend_timeout_ms, 1),
                  std::max(RemainingMs(deadline), 1));
-    Status pumped = PumpAcks(wait);
+    Status pumped = PumpAcks(wait, [this] { return replay_.empty(); });
     if (!pumped.ok()) {
       Close();
       continue;

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -179,9 +180,10 @@ class ProducerClient : public EventSink {
   /// stall budget runs out. No-op when window_messages is 0.
   Status AwaitWindow();
   /// Reads whatever response lines are available within `timeout_ms`
-  /// and applies them. Transport errors propagate (callers decide
-  /// whether to reconnect).
-  Status PumpAcks(int timeout_ms);
+  /// and applies them, returning early once `done` (when given) holds
+  /// — the timeout only bounds a wait with no ack progress. Transport
+  /// errors propagate (callers decide whether to reconnect).
+  Status PumpAcks(int timeout_ms, const std::function<bool()>& done = {});
   /// Applies one ACK/NACK/OK/ERR line from the server.
   Status ApplyLine(const std::string& line);
   /// Drops acked messages from the replay buffer.

@@ -71,7 +71,8 @@ std::string Expr::ToString() const {
     case ExprKind::kValueRestrict: {
       std::string s = "vrange(" + child->ToString();
       for (const ValueBandRange& r : ranges) {
-        s += StringPrintf(", %d, %g, %g", r.band, r.lo, r.hi);
+        s += StringPrintf(", %d, ", r.band) + FormatDouble(r.lo) + ", " +
+             FormatDouble(r.hi);
       }
       return s + ")";
     }
@@ -80,13 +81,13 @@ std::string Expr::ToString() const {
         case ValueFnSpec::Kind::kGray:
           return StringPrintf("gray(%s)", child->ToString().c_str());
         case ValueFnSpec::Kind::kRescale:
-          return StringPrintf("rescale(%s, %g, %g)",
-                              child->ToString().c_str(), value_spec.a,
-                              value_spec.b);
+          return "rescale(" + child->ToString() + ", " +
+                 FormatDouble(value_spec.a) + ", " +
+                 FormatDouble(value_spec.b) + ")";
         case ValueFnSpec::Kind::kClamp:
-          return StringPrintf("clampv(%s, %g, %g)",
-                              child->ToString().c_str(), value_spec.a,
-                              value_spec.b);
+          return "clampv(" + child->ToString() + ", " +
+                 FormatDouble(value_spec.a) + ", " +
+                 FormatDouble(value_spec.b) + ")";
         case ValueFnSpec::Kind::kAbs:
           return StringPrintf("absv(%s)", child->ToString().c_str());
         case ValueFnSpec::Kind::kBandSelect:
@@ -97,9 +98,15 @@ std::string Expr::ToString() const {
       }
       return StringPrintf("vmap[%s](%s)", value_fn.name.c_str(),
                           child->ToString().c_str());
-    case ExprKind::kStretch:
-      return StringPrintf("stretch(%s, \"%s\")", child->ToString().c_str(),
-                          StretchModeName(stretch.mode));
+    case ExprKind::kStretch: {
+      std::string s = StringPrintf("stretch(%s, \"%s\"",
+                                   child->ToString().c_str(),
+                                   StretchModeName(stretch.mode));
+      if (stretch.clip_fraction != 0.0) {
+        s += ", " + FormatDouble(stretch.clip_fraction);
+      }
+      return s + ")";
+    }
     case ExprKind::kMagnify:
       return StringPrintf("magnify(%s, %d)", child->ToString().c_str(),
                           factor);
@@ -124,8 +131,9 @@ std::string Expr::ToString() const {
       const char* mode = shed_mode == SheddingMode::kDropPoints ? "points"
                          : shed_mode == SheddingMode::kDropRows ? "rows"
                                                                 : "frames";
-      return StringPrintf("shed(%s, \"%s\", %g)", child->ToString().c_str(),
-                          mode, shed_keep);
+      return StringPrintf("shed(%s, \"%s\", ", child->ToString().c_str(),
+                          mode) +
+             FormatDouble(shed_keep) + ")";
     }
     case ExprKind::kAggregate: {
       std::string s =

@@ -100,6 +100,11 @@ std::string ExplainPlanMetrics(const ExecutablePlan& plan) {
         static_cast<unsigned long long>(m.frames_in),
         static_cast<unsigned long long>(m.buffered_bytes_high_water));
   }
+  if (plan.operators().empty()) {
+    // The plan only hands its input to the sink (e.g. a query reading
+    // a shared node): nothing to total.
+    return out + "(no operators)\n";
+  }
   out += StringPrintf(
       "%-22s points_in=%-10llu points_out=%-10llu frames=%llu "
       "buffered_peak<=%lluB (worst op %lluB)\n",

@@ -129,42 +129,15 @@ class Rewriter {
         new_node->right = MakeSpatialRestrictLike(e, c->right);
         return new_node;
       }
-      case ExprKind::kReproject: {
-        if (e->derived_restriction || c->pushdown_applied) return nullptr;
-        if (!c->analyzed || !c->child->analyzed) return nullptr;
-        // Map the region's bounding box from the target CRS back into
-        // the source CRS (Sec. 3.4: "R needs to be mapped to the
-        // coordinate system C").
-        auto target = ResolveCrs(c->target_crs);
-        if (!target.ok()) return nullptr;
-        const CrsPtr& source = c->child->out_desc.crs();
-        BoundingBox src_box = TransformBoundingBox(
-            e->region->bounds(), **target, *source, /*samples_per_edge=*/32);
-        if (src_box.empty()) return nullptr;
-        // Half-cell slack for resampling at the region border.
-        const GridLattice& lat = c->child->out_desc.reference_lattice();
-        src_box = Inflate(src_box, std::max(std::fabs(lat.dx()),
-                                            std::fabs(lat.dy())));
-        ExprPtr new_reproject = std::make_shared<Expr>(*c);
-        new_reproject->child = DerivedRestrict(c->child, src_box);
-        new_reproject->pushdown_applied = true;
-        ExprPtr new_top = std::make_shared<Expr>(*e);
-        new_top->child = new_reproject;
-        return new_top;
-      }
+      case ExprKind::kReproject:
       case ExprKind::kMagnify:
       case ExprKind::kReduce: {
         if (e->derived_restriction || c->pushdown_applied) return nullptr;
-        if (!c->child->analyzed) return nullptr;
-        const GridLattice& lat = c->child->out_desc.reference_lattice();
-        // The k x k neighbourhood of a kept output point may reach up
-        // to k input cells beyond the region boundary.
-        const double margin =
-            c->factor *
-            std::max(std::fabs(lat.dx()), std::fabs(lat.dy()));
+        const std::optional<BoundingBox> src_box =
+            InputBoxFor(*c, e->region->bounds());
+        if (!src_box) return nullptr;
         ExprPtr new_transform = std::make_shared<Expr>(*c);
-        new_transform->child =
-            DerivedRestrict(c->child, Inflate(e->region->bounds(), margin));
+        new_transform->child = DerivedRestrict(c->child, *src_box);
         new_transform->pushdown_applied = true;
         ExprPtr new_top = std::make_shared<Expr>(*e);
         new_top->child = new_transform;
@@ -230,6 +203,47 @@ class Rewriter {
 };
 
 }  // namespace
+
+std::optional<BoundingBox> InputBoxFor(const Expr& op,
+                                       const BoundingBox& out_box) {
+  switch (op.kind) {
+    case ExprKind::kSpatialRestrict:
+    case ExprKind::kTemporalRestrict:
+    case ExprKind::kValueRestrict:
+    case ExprKind::kValueTransform:
+    case ExprKind::kShed:
+    case ExprKind::kCompose:
+    case ExprKind::kNdviMacro:
+    case ExprKind::kBandStack:
+      return out_box;
+    case ExprKind::kReproject: {
+      if (!op.analyzed || !op.child || !op.child->analyzed) return std::nullopt;
+      // Map the box from the target CRS back into the source CRS
+      // (Sec. 3.4: "R needs to be mapped to the coordinate system C").
+      auto target = ResolveCrs(op.target_crs);
+      if (!target.ok()) return std::nullopt;
+      const CrsPtr& source = op.child->out_desc.crs();
+      const BoundingBox src_box = TransformBoundingBox(
+          out_box, **target, *source, /*samples_per_edge=*/32);
+      if (src_box.empty()) return std::nullopt;
+      // Half-cell slack for resampling at the region border.
+      const GridLattice& lat = op.child->out_desc.reference_lattice();
+      return Inflate(src_box,
+                     std::max(std::fabs(lat.dx()), std::fabs(lat.dy())));
+    }
+    case ExprKind::kMagnify:
+    case ExprKind::kReduce: {
+      if (!op.child || !op.child->analyzed) return std::nullopt;
+      const GridLattice& lat = op.child->out_desc.reference_lattice();
+      // The k x k neighbourhood of a kept output point may reach up
+      // to k input cells beyond the box.
+      return Inflate(out_box, op.factor * std::max(std::fabs(lat.dx()),
+                                                   std::fabs(lat.dy())));
+    }
+    default:
+      return std::nullopt;
+  }
+}
 
 Result<ExprPtr> OptimizeQuery(const StreamCatalog& catalog,
                               const ExprPtr& expr,

@@ -28,7 +28,10 @@
 #ifndef GEOSTREAMS_QUERY_OPTIMIZER_H_
 #define GEOSTREAMS_QUERY_OPTIMIZER_H_
 
+#include <optional>
+
 #include "common/status.h"
+#include "geo/bounding_box.h"
 #include "query/analyzer.h"
 #include "query/ast.h"
 
@@ -51,6 +54,20 @@ struct OptimizerStats {
   int passes = 0;
   int rewrites = 0;
 };
+
+/// The box math behind the spatial pushdown rules, shared by the
+/// optimizer and the server's shared-plan demand propagation: the
+/// bounding box of `op`'s input that every output point inside
+/// `out_box` depends on. Pointwise operators (restrictions, value
+/// transforms, shedding, compositions) need exactly `out_box`;
+/// re-projection maps it back into the source CRS with a one-cell
+/// resampling margin; magnify/reduce inflate it by their k x k
+/// neighbourhood. nullopt when no box bounds the dependency
+/// (frame-scoped stretch, aggregates, an unanalyzed node, or a box
+/// that does not map into the source CRS): the operator then needs
+/// its whole input.
+std::optional<BoundingBox> InputBoxFor(const Expr& op,
+                                       const BoundingBox& out_box);
 
 /// Rewrites a clone of `expr` to fixpoint and returns it analyzed.
 /// `expr` itself must already be analyzed against `catalog`.

@@ -46,8 +46,8 @@ uint64_t ExecutablePlan::PointsProcessed() const {
 // Not in an anonymous namespace: ExecutablePlan befriends this class.
 class PlanBuilder {
  public:
-  PlanBuilder(EventSink* sink, MemoryTracker* tracker)
-      : sink_(sink), tracker_(tracker) {}
+  PlanBuilder(EventSink* sink, MemoryTracker* tracker, std::string op_prefix)
+      : sink_(sink), tracker_(tracker), op_prefix_(std::move(op_prefix)) {}
 
   Result<std::unique_ptr<ExecutablePlan>> Build(const ExprPtr& root) {
     plan_ = std::make_unique<ExecutablePlan>();
@@ -58,7 +58,7 @@ class PlanBuilder {
 
  private:
   std::string NextName(const char* kind) {
-    return StringPrintf("op%d.%s", ++counter_, kind);
+    return StringPrintf("%s%d.%s", op_prefix_.c_str(), ++counter_, kind);
   }
 
   /// Registers `op`, binds its output, and recurses into inputs.
@@ -169,16 +169,18 @@ class PlanBuilder {
 
   EventSink* sink_;
   MemoryTracker* tracker_;
+  std::string op_prefix_;
   std::unique_ptr<ExecutablePlan> plan_;
   int counter_ = 0;
 };
 
 Result<std::unique_ptr<ExecutablePlan>> BuildPlan(const ExprPtr& analyzed,
                                                   EventSink* sink,
-                                                  MemoryTracker* tracker) {
+                                                  MemoryTracker* tracker,
+                                                  const std::string& op_prefix) {
   if (!analyzed) return Status::InvalidArgument("null query");
   if (!sink) return Status::InvalidArgument("plan needs a sink");
-  PlanBuilder builder(sink, tracker);
+  PlanBuilder builder(sink, tracker, op_prefix);
   return builder.Build(analyzed);
 }
 

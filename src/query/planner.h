@@ -74,10 +74,11 @@ class ExecutablePlan {
 };
 
 /// Builds a physical plan for an analyzed query, wired into `sink`
-/// (not owned; must outlive the plan).
+/// (not owned; must outlive the plan). Operators are named
+/// "<op_prefix><N>.<kind>".
 Result<std::unique_ptr<ExecutablePlan>> BuildPlan(
     const ExprPtr& analyzed, EventSink* sink,
-    MemoryTracker* tracker = nullptr);
+    MemoryTracker* tracker = nullptr, const std::string& op_prefix = "op");
 
 }  // namespace geostreams
 

@@ -1,5 +1,8 @@
 #include "server/dsms_server.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "mqo/cascade_tree.h"
@@ -27,12 +30,13 @@ std::unique_ptr<RegionIndex> MakeIndex(DsmsOptions::IndexKind kind,
 }
 
 /// Operator-kind label for the shared latency histogram family: the
-/// planner names operators "op<N>.<kind>" (delivery ops
-/// "q<N>.delivery"), so the suffix after the first '.' is the kind —
+/// planner names operators "op<N>.<kind>" (shared nodes'
+/// "n<S>.op<N>.<kind>", delivery ops "q<N>.delivery"), so the suffix
+/// after the last '.' is the kind —
 /// labeling by kind instead of instance keeps series cardinality
 /// bounded no matter how many queries register.
 std::string OpKindLabel(const std::string& name) {
-  const size_t dot = name.find('.');
+  const size_t dot = name.rfind('.');
   return dot == std::string::npos ? name : name.substr(dot + 1);
 }
 
@@ -46,21 +50,18 @@ constexpr char kOperatorLatencyHelp[] =
 /// operators; anything that could change frame-timestamp semantics
 /// (aggregation, composition, band stacking) clears the accumulation —
 /// the plan re-applies its own restrictions, so dropping a hint only
-/// costs pruning, never correctness. A leaf that appears more than
-/// once gets no hints (the paths may disagree and the scans would
-/// intersect them).
+/// costs pruning, never correctness. Every plan input is its own leaf
+/// (one per stream occurrence), so each path keeps its own hints.
 void CollectTimeHints(const ExprPtr& expr, std::vector<TimeSet> active,
-                      std::map<std::string, std::vector<TimeSet>>* hints,
-                      std::map<std::string, int>* leaf_count) {
+                      std::map<std::string, std::vector<TimeSet>>* hints) {
   if (!expr) return;
   switch (expr->kind) {
     case ExprKind::kStreamRef:
-      ++(*leaf_count)[expr->stream_name];
       (*hints)[expr->stream_name] = std::move(active);
       return;
     case ExprKind::kTemporalRestrict:
       active.push_back(expr->times);
-      CollectTimeHints(expr->child, std::move(active), hints, leaf_count);
+      CollectTimeHints(expr->child, std::move(active), hints);
       return;
     case ExprKind::kSpatialRestrict:
     case ExprKind::kValueRestrict:
@@ -69,11 +70,11 @@ void CollectTimeHints(const ExprPtr& expr, std::vector<TimeSet> active,
     case ExprKind::kMagnify:
     case ExprKind::kReduce:
     case ExprKind::kReproject:
-      CollectTimeHints(expr->child, std::move(active), hints, leaf_count);
+      CollectTimeHints(expr->child, std::move(active), hints);
       return;
     default:
-      CollectTimeHints(expr->child, {}, hints, leaf_count);
-      CollectTimeHints(expr->right, {}, hints, leaf_count);
+      CollectTimeHints(expr->child, {}, hints);
+      CollectTimeHints(expr->right, {}, hints);
       return;
   }
 }
@@ -95,6 +96,9 @@ struct DsmsServer::SourceState : public EventSink {
   /// True for continuous views: their events arrive from a backing
   /// plan rather than from an ingest call.
   bool derived = false;
+  /// True for a shared node's output stream: fed by the node's plan,
+  /// never in the catalog, no store sink, no per-source series.
+  bool hidden = false;
   /// Boundary guard handed out by DsmsServer::ingest() (and used as
   /// the backing plan's sink for derived streams under a worker
   /// pool): takes the server's state lock in shared mode and runs the
@@ -125,8 +129,20 @@ struct DsmsServer::SourceState : public EventSink {
   /// plane), resolved once at stream registration.
   Gauge* freshness_gauge = nullptr;
   MetricHistogram* e2e_total = nullptr;
+  /// Hidden streams only: span name and kind-labeled latency series of
+  /// the fan-out, so traced frames attribute the node's cascade-tree
+  /// split to the shared restriction, not to the node's operator.
+  std::string route_span;
+  MetricHistogram* route_latency = nullptr;
 
   Status Consume(const StreamEvent& event) override {
+    TraceContext* trace = route_latency ? ActiveTrace() : nullptr;
+    if (trace == nullptr) return FanOut(event);
+    SpanTimer span(trace, route_span, route_latency);
+    return FanOut(event);
+  }
+
+  Status FanOut(const StreamEvent& event) {
     if (store_sink) {
       // Never fails (store errors are counted and logged inside) —
       // the live chain does not stall because the disk is unhappy.
@@ -169,6 +185,36 @@ class DsmsServer::IsolatedEntrySink : public EventSink {
   bool warned_ = false;
 };
 
+namespace {
+
+/// Starts a shared node's input at a frame boundary: a node created
+/// (or given a new input) while its upstream is mid-frame would
+/// otherwise see the frame's tail without its FrameBegin, which frame-
+/// scoped operators reject — and a quarantined node starves every
+/// subscriber. Frameless (point-by-point) streams start at once.
+class FrameAlignedSink : public EventSink {
+ public:
+  FrameAlignedSink(EventSink* next, bool framed)
+      : next_(next), aligned_(!framed) {}
+
+  Status Consume(const StreamEvent& event) override {
+    if (!aligned_) {
+      if (event.kind != EventKind::kFrameBegin &&
+          event.kind != EventKind::kStreamEnd) {
+        return Status::OK();
+      }
+      aligned_ = true;
+    }
+    return next_->Consume(event);
+  }
+
+ private:
+  EventSink* next_;
+  bool aligned_;
+};
+
+}  // namespace
+
 /// The ingest boundary (Fig. 3's arrow from the stream generator into
 /// the server). Every event takes the server's state lock in shared
 /// mode, so producers and the control plane (network sessions
@@ -183,6 +229,20 @@ class DsmsServer::GuardedIngestSink : public EventSink {
 
   Status Consume(const StreamEvent& event) override {
     std::shared_lock<std::shared_mutex> lock(server_->state_mu_);
+    if (source_->hidden) {
+      // A shared node's plan output on a worker thread. Operators emit
+      // fresh events, so hand the trace active on this worker to the
+      // consumer pipelines (the scheduler forks it at enqueue, before
+      // this call returns, so a non-owning pointer suffices).
+      TraceContext* active = ActiveTrace();
+      if (event.trace != nullptr || active == nullptr) {
+        return source_->Consume(event);
+      }
+      StreamEvent traced = event;
+      traced.trace = std::shared_ptr<TraceContext>(
+          std::shared_ptr<TraceContext>(), active);
+      return source_->Consume(traced);
+    }
     {
       std::lock_guard<std::mutex> boundary(source_->boundary_mu);
       if (source_->quarantined) {
@@ -293,6 +353,95 @@ class DsmsServer::GuardedIngestSink : public EventSink {
   SourceState* source_;
 };
 
+/// One subscription to a stream: a query plan's input, or a shared
+/// node's input. Owned by its consumer.
+struct DsmsServer::Edge {
+  SourceState* from = nullptr;
+  /// Set when `from` is a shared node's output (the edge holds one of
+  /// the node's references).
+  SharedNode* from_node = nullptr;
+  /// Exact restriction of the stream (null = the whole stream).
+  RegionPtr region;
+  /// Conservative pre-filter the optimizer planted below a spatial
+  /// transform (query inputs only; node inputs are bounded by demand).
+  std::optional<BoundingBox> hint;
+  /// Consuming node (null = a query's private plan).
+  SharedNode* owner = nullptr;
+  /// The consumer plan's entry for this input (scheduler-wrapped with
+  /// a worker pool; a CatchUpGate once a catch-up query goes live).
+  EventSink* entry = nullptr;
+  /// Temporal IO-pruning hints for the catch-up replay.
+  std::vector<TimeSet> times;
+  /// Routing state: attached at `from` as cascade registration
+  /// `index_id` of region `routed`, or as a direct target (index_id 0,
+  /// routed null).
+  bool attached = false;
+  QueryId index_id = 0;
+  std::optional<BoundingBox> bound;
+  RegionPtr routed;
+};
+
+/// A hash-consed compute operator: one plan over its input edges whose
+/// output is a hidden stream with its own shared restriction index.
+/// Alive while some edge consumes it.
+struct DsmsServer::SharedNode {
+  uint64_t seq = 0;
+  std::string key;  // canonical text over the inputs' keys
+  ExprPtr canon;    // the operator over its inputs' canonical exprs
+  std::unique_ptr<SourceState> stream;
+  std::unique_ptr<ExecutablePlan> plan;
+  std::vector<std::unique_ptr<Edge>> inputs;
+  std::vector<std::unique_ptr<IsolatedEntrySink>> isolated;
+  std::vector<std::unique_ptr<FrameAlignedSink>> aligned;
+  size_t sched_pipeline = SIZE_MAX;
+  /// Edges reading this node (its refcount).
+  std::vector<Edge*> consumers;
+  /// Queries reading this node, directly or through other nodes: the
+  /// subscribers its cost is shared between.
+  size_t subscribers = 0;
+  /// Bounding box of the consumers' routed regions (nullopt = the
+  /// whole stream, some consumer is unrestricted).
+  std::optional<BoundingBox> demand;
+  /// Whether the inputs are routed for `demand`.
+  bool routed = false;
+};
+
+/// A shared node to intern: the operator and its input handles.
+struct DsmsServer::NodeSpec {
+  ExprPtr canon;
+  std::string key;
+  std::vector<Handle> inputs;
+};
+
+/// A stream the server can subscribe to — a registered stream or a
+/// shared node — restricted to `region`.
+struct DsmsServer::Handle {
+  SourceState* source = nullptr;
+  std::shared_ptr<NodeSpec> node;
+  RegionPtr region;
+  std::optional<BoundingBox> hint;
+
+  /// Canonical expression: the stream (or node), wrapped in its
+  /// exact restriction.
+  ExprPtr Canon() const {
+    ExprPtr base = node ? node->canon : MakeStreamRef(source->desc.name());
+    if (!node) {
+      base->out_desc = source->desc;
+      base->analyzed = true;
+    }
+    if (!region) return base;
+    ExprPtr wrapped = MakeSpatialRestrict(base, region);
+    wrapped->out_desc = base->out_desc;
+    wrapped->analyzed = true;
+    return wrapped;
+  }
+};
+
+struct DsmsServer::PlanInput {
+  std::string name;
+  Handle handle;
+};
+
 struct DsmsServer::QueryState {
   QueryId id = 0;
   std::string text;
@@ -314,31 +463,11 @@ struct DsmsServer::QueryState {
   /// claimed this query; a concurrent second unregister backs off.
   bool unregistering = false;
 
-  struct Peeled {
-    std::string source;
-    RegionPtr region;
-    std::string input_name;
-    QueryId shared_id = 0;
-  };
-  std::vector<Peeled> peeled;
-  /// Direct wirings (source name -> plan input) for unregistration.
-  std::vector<std::pair<std::string, EventSink*>> direct;
-
-  /// Catch-up state (RegisterQuery's hybrid stream/stored path).
-  /// Pending wirings recorded by RegisterInternal(defer_wiring=true):
-  /// the plan input entries exist but are not attached to any source
-  /// yet; the catch-up path replays history into them first and then
-  /// attaches them behind CatchUpGates.
-  struct PendingWire {
-    std::string source;      // catalog stream feeding this input
-    std::string input_name;  // the plan's input (synthetic if peeled)
-    EventSink* entry = nullptr;
-    RegionPtr region;        // peeled spatial restriction (may be null)
-    std::vector<TimeSet> times;  // pushed-down temporal IO-pruning hints
-    bool is_peeled = false;
-    size_t peeled_index = 0;
-  };
-  std::vector<PendingWire> pending_wires;
+  /// The plan's inputs. Catch-up registrations leave them detached
+  /// until the history replay is done.
+  std::vector<std::unique_ptr<Edge>> inputs;
+  /// Shared nodes this query reads, directly or transitively.
+  std::vector<SharedNode*> nodes;
   /// Cut-over gates, one per input (catch-up queries only). Own the
   /// seam logic; destroyed with the query.
   std::vector<std::unique_ptr<CatchUpGate>> gates;
@@ -347,6 +476,70 @@ struct DsmsServer::QueryState {
   /// entry pointers with no lock).
   bool catching_up = false;
 };
+
+namespace {
+
+RegionPtr Intersect(RegionPtr a, RegionPtr b) {
+  if (!a) return b;
+  if (!b) return a;
+  return MakeIntersectionRegion({std::move(a), std::move(b)});
+}
+
+/// Demand boxes are rounded outward to this many grid steps across the
+/// upstream stream's extent before they route a node's input.
+constexpr int kDemandGridSteps = 64;
+
+bool SameBox(const std::optional<BoundingBox>& a,
+             const std::optional<BoundingBox>& b) {
+  if (!a || !b) return !a && !b;
+  if (a->empty() || b->empty()) return a->empty() && b->empty();
+  return a->min_x == b->min_x && a->min_y == b->min_y &&
+         a->max_x == b->max_x && a->max_y == b->max_y;
+}
+
+/// Whether `region`'s text identifies it (enumerated regions print a
+/// summary only), so it may take part in a shared node's key.
+bool KeyExact(const RegionPtr& region) {
+  return region->ToString().find("enumerated(") == std::string::npos;
+}
+
+bool SameRegion(const RegionPtr& a, const RegionPtr& b) {
+  if (a == b) return true;
+  return a && b && KeyExact(a) && a->ToString() == b->ToString();
+}
+
+/// A restriction the optimizer synthesized below a spatial transform:
+/// conservative, so the output never depends on it. (A merge with a
+/// user restriction yields an intersection, which stays exact.)
+bool IsPureHint(const Expr& e) {
+  return e.derived_restriction && e.region->kind() == RegionKind::kBBox;
+}
+
+/// Rounds `box` outward to a grid of kDemandGridSteps x
+/// kDemandGridSteps cells over `extent` (boxes reaching past the
+/// extent keep their outer edges).
+BoundingBox SnapOutward(const BoundingBox& box, const BoundingBox& extent) {
+  if (box.empty() || extent.empty()) return box;
+  const double sx = extent.width() / kDemandGridSteps;
+  const double sy = extent.height() / kDemandGridSteps;
+  if (!(sx > 0.0) || !(sy > 0.0)) return box;
+  auto down = [](double v, double origin, double step) {
+    return std::min(v, origin + std::floor((v - origin) / step) * step);
+  };
+  auto up = [](double v, double origin, double step) {
+    return std::max(v, origin + std::ceil((v - origin) / step) * step);
+  };
+  return BoundingBox(down(box.min_x, extent.min_x, sx),
+                     down(box.min_y, extent.min_y, sy),
+                     up(box.max_x, extent.min_x, sx),
+                     up(box.max_y, extent.min_y, sy));
+}
+
+std::string DemandText(const std::optional<BoundingBox>& demand) {
+  return demand ? demand->ToString() : "all";
+}
+
+}  // namespace
 
 DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
   event_log_ = std::make_unique<EventLog>(options_.event_log_capacity);
@@ -635,28 +828,302 @@ Status DsmsServer::RegisterStream(const GeoStreamDescriptor& desc) {
   return Status::OK();
 }
 
-ExprPtr DsmsServer::PeelLeafRestrictions(QueryId id, ExprPtr expr,
-                                         QueryState* query) {
-  if (!expr) return expr;
-  if (expr->kind == ExprKind::kSpatialRestrict &&
-      expr->child->kind == ExprKind::kStreamRef &&
-      sources_.count(expr->child->stream_name) > 0) {
-    QueryState::Peeled peeled;
-    peeled.source = expr->child->stream_name;
-    peeled.region = expr->region;
-    peeled.input_name = StringPrintf("q%lld.in%zu", static_cast<long long>(id),
-                                     query->peeled.size());
-    // Synthetic leaf: carries the original stream's descriptor so the
-    // planner can keep building without re-analysis.
-    ExprPtr leaf = MakeStreamRef(peeled.input_name);
-    leaf->out_desc = expr->child->out_desc;
+std::optional<DsmsServer::Handle> DsmsServer::LowerHandle(
+    const ExprPtr& e, Lowering mode) const {
+  switch (e->kind) {
+    case ExprKind::kStreamRef: {
+      auto it = sources_.find(e->stream_name);
+      if (it == sources_.end()) return std::nullopt;
+      Handle h;
+      h.source = it->second.get();
+      return h;
+    }
+    case ExprKind::kSpatialRestrict: {
+      if (mode == Lowering::kDirect) return std::nullopt;
+      std::optional<Handle> h = LowerHandle(e->child, mode);
+      if (!h) return std::nullopt;
+      if (IsPureHint(*e)) {
+        const BoundingBox box = e->region->bounds();
+        h->hint = h->hint ? h->hint->Intersection(box) : box;
+      } else {
+        h->region = Intersect(h->region, e->region);
+      }
+      return h;
+    }
+    case ExprKind::kValueTransform:
+    case ExprKind::kStretch:
+    case ExprKind::kMagnify:
+    case ExprKind::kReduce:
+    case ExprKind::kReproject:
+    case ExprKind::kAggregate:
+    case ExprKind::kCompose:
+    case ExprKind::kNdviMacro:
+    case ExprKind::kBandStack:
+      break;
+    default:
+      return std::nullopt;  // restrictions and shed stay per query
+  }
+  if (mode != Lowering::kShare) return std::nullopt;
+  if (e->kind == ExprKind::kValueTransform &&
+      e->value_spec.kind == ValueFnSpec::Kind::kCustom) {
+    return std::nullopt;  // a programmatic function has no key
+  }
+  for (const RegionPtr& r : e->agg_regions) {
+    if (!KeyExact(r)) return std::nullopt;
+  }
+  auto spec = std::make_shared<NodeSpec>();
+  for (const ExprPtr& input : {e->child, e->right}) {
+    if (!input) continue;
+    std::optional<Handle> h = LowerHandle(input, mode);
+    if (!h) return std::nullopt;
+    // Demand propagation re-derives the optimizer's pre-filters.
+    h->hint.reset();
+    spec->inputs.push_back(std::move(*h));
+  }
+  // Restrictions commute with pointwise operators (the optimizer's
+  // exact pushdown rules, read backwards): lift them above the node so
+  // that queries differing only in their box share it.
+  Handle out;
+  const bool pointwise = e->kind != ExprKind::kStretch &&
+                         e->kind != ExprKind::kMagnify &&
+                         e->kind != ExprKind::kReduce &&
+                         e->kind != ExprKind::kReproject &&
+                         e->kind != ExprKind::kAggregate;
+  if (pointwise && (spec->inputs.size() == 1 ||
+                    SameRegion(spec->inputs[0].region,
+                               spec->inputs[1].region))) {
+    out.region = spec->inputs[0].region;
+    for (Handle& in : spec->inputs) in.region.reset();
+  }
+  for (const Handle& in : spec->inputs) {
+    if (in.region && !KeyExact(in.region)) return std::nullopt;
+  }
+  spec->canon = std::make_shared<Expr>(*e);
+  spec->canon->child = spec->inputs[0].Canon();
+  if (spec->inputs.size() > 1) spec->canon->right = spec->inputs[1].Canon();
+  spec->key = spec->canon->ToString();
+  out.node = std::move(spec);
+  return out;
+}
+
+ExprPtr DsmsServer::LowerPlan(const ExprPtr& e, Lowering mode,
+                              const std::string& prefix,
+                              std::vector<PlanInput>* inputs) const {
+  if (!e) return e;
+  if (std::optional<Handle> h = LowerHandle(e, mode)) {
+    PlanInput input;
+    input.name = StringPrintf("%s.in%zu", prefix.c_str(), inputs->size());
+    input.handle = std::move(*h);
+    // Synthetic leaf: carries the subtree's descriptor so the planner
+    // can keep building without re-analysis.
+    ExprPtr leaf = MakeStreamRef(input.name);
+    leaf->out_desc = e->out_desc;
     leaf->analyzed = true;
-    query->peeled.push_back(std::move(peeled));
+    inputs->push_back(std::move(input));
     return leaf;
   }
-  expr->child = PeelLeafRestrictions(id, expr->child, query);
-  expr->right = PeelLeafRestrictions(id, expr->right, query);
-  return expr;
+  ExprPtr copy = std::make_shared<Expr>(*e);
+  copy->child = LowerPlan(e->child, mode, prefix, inputs);
+  copy->right = LowerPlan(e->right, mode, prefix, inputs);
+  return copy;
+}
+
+Result<DsmsServer::SharedNode*> DsmsServer::InternLocked(
+    const NodeSpec& spec) {
+  auto found = shared_by_key_.find(spec.key);
+  if (found != shared_by_key_.end()) return found->second;
+  // Inputs first: a node is always younger than what it reads, which
+  // is the order RefreshDemandLocked walks the DAG in.
+  std::vector<SharedNode*> input_nodes;
+  for (const Handle& in : spec.inputs) {
+    SharedNode* input_node = nullptr;
+    if (in.node) {
+      GEOSTREAMS_ASSIGN_OR_RETURN(input_node, InternLocked(*in.node));
+    }
+    input_nodes.push_back(input_node);
+  }
+  auto node = std::make_unique<SharedNode>();
+  node->seq = next_node_seq_++;
+  node->key = spec.key;
+  node->canon = spec.canon;
+  auto stream = std::make_unique<SourceState>();
+  stream->desc = spec.canon->out_desc;
+  stream->hidden = true;
+  stream->shared = std::make_unique<SharedRestrictionOp>(MakeIndex(
+      options_.index_kind, stream->desc.reference_lattice().Extent()));
+  stream->guard = std::make_unique<GuardedIngestSink>(this, stream.get());
+  const std::string prefix =
+      StringPrintf("n%llu", static_cast<unsigned long long>(node->seq));
+  stream->route_span = prefix + ".shared_restriction";
+  stream->route_latency = metrics_registry_.GetHistogram(
+      "geostreams_operator_latency_us", kOperatorLatencyHelp,
+      {{"op", "shared_restriction"}});
+  node->stream = std::move(stream);
+
+  ExprPtr plan_expr = std::make_shared<Expr>(*spec.canon);
+  std::vector<std::string> input_names;
+  for (size_t i = 0; i < spec.inputs.size(); ++i) {
+    input_names.push_back(StringPrintf("%s.in%zu", prefix.c_str(), i));
+    ExprPtr leaf = MakeStreamRef(input_names.back());
+    leaf->out_desc = (i == 0 ? spec.canon->child : spec.canon->right)->out_desc;
+    leaf->analyzed = true;
+    (i == 0 ? plan_expr->child : plan_expr->right) = leaf;
+  }
+  // With a worker pool the node runs on a worker, so its fan-out takes
+  // the state lock itself (via the guard), exactly like a derived
+  // view; synchronously it already runs under the ingest call's lock.
+  EventSink* plan_sink =
+      scheduler_ ? static_cast<EventSink*>(node->stream->guard.get())
+                 : static_cast<EventSink*>(node->stream.get());
+  GEOSTREAMS_ASSIGN_OR_RETURN(
+      node->plan, BuildPlan(plan_expr, plan_sink, &memory_, prefix + ".op"));
+  for (const auto& op : node->plan->operators()) {
+    op->BindLatencyHistogram(metrics_registry_.GetHistogram(
+        "geostreams_operator_latency_us", kOperatorLatencyHelp,
+        {{"op", OpKindLabel(op->name())}}));
+  }
+  if (scheduler_) {
+    node->sched_pipeline = scheduler_->AddPipelineGroup(prefix);
+    ExecutablePlan* plan = node->plan.get();
+    scheduler_->SetPipelineReset(node->sched_pipeline,
+                                 [plan] { plan->Reset(); });
+  }
+  for (size_t i = 0; i < spec.inputs.size(); ++i) {
+    auto edge = std::make_unique<Edge>();
+    const Handle& in = spec.inputs[i];
+    edge->from_node = input_nodes[i];
+    edge->from = input_nodes[i] ? input_nodes[i]->stream.get() : in.source;
+    edge->region = in.region;
+    edge->owner = node.get();
+    edge->entry = node->plan->input(input_names[i]);
+    if (scheduler_) {
+      edge->entry =
+          scheduler_->AddPipelineInput(node->sched_pipeline, edge->entry);
+      node->isolated.push_back(std::make_unique<IsolatedEntrySink>(edge->entry));
+      edge->entry = node->isolated.back().get();
+    }
+    node->aligned.push_back(std::make_unique<FrameAlignedSink>(
+        edge->entry, edge->from->desc.organization() !=
+                         PointOrganization::kPointByPoint));
+    edge->entry = node->aligned.back().get();
+    // Routed by the next RefreshDemandLocked, once the node's demand
+    // is known.
+    if (edge->from_node) edge->from_node->consumers.push_back(edge.get());
+    node->inputs.push_back(std::move(edge));
+  }
+  SharedNode* raw = node.get();
+  shared_by_key_.emplace(raw->key, raw);
+  shared_nodes_.emplace(raw->seq, std::move(node));
+  GEOSTREAMS_LOG(kInfo) << "shared node " << prefix << ": " << raw->key;
+  return raw;
+}
+
+Status DsmsServer::RouteEdgeLocked(Edge* edge,
+                                   std::optional<BoundingBox> bound) {
+  if (edge->attached && SameBox(edge->bound, bound)) return Status::OK();
+  RegionPtr routed = edge->region;
+  if (bound) routed = Intersect(routed, std::make_shared<BBoxRegion>(*bound));
+  SourceState* from = edge->from;
+  if (routed && from->shared == nullptr) {
+    return Status::Internal("restricted input on a stream without an index");
+  }
+  if (edge->attached && routed && edge->index_id != 0) {
+    GEOSTREAMS_RETURN_IF_ERROR(
+        from->shared->UpdateRegion(edge->index_id, routed));
+  } else {
+    DetachEdgeLocked(edge);
+    if (routed) {
+      const QueryId index_id = next_edge_id_++;
+      GEOSTREAMS_RETURN_IF_ERROR(
+          from->shared->RegisterQuery(index_id, routed, edge->entry));
+      edge->index_id = index_id;
+    } else {
+      from->direct_targets.push_back(edge->entry);
+    }
+    edge->attached = true;
+  }
+  edge->bound = bound;
+  edge->routed = std::move(routed);
+  return Status::OK();
+}
+
+void DsmsServer::DetachEdgeLocked(Edge* edge) {
+  if (!edge->attached) return;
+  SourceState* from = edge->from;
+  if (edge->index_id != 0) {
+    Status ignored = from->shared->UnregisterQuery(edge->index_id);
+    (void)ignored;
+  } else {
+    auto& targets = from->direct_targets;
+    targets.erase(std::remove(targets.begin(), targets.end(), edge->entry),
+                  targets.end());
+  }
+  edge->attached = false;
+  edge->index_id = 0;
+  edge->routed.reset();
+}
+
+void DsmsServer::ReleaseEdgeLocked(Edge* edge, Graveyard* graveyard) {
+  DetachEdgeLocked(edge);
+  SharedNode* node = edge->from_node;
+  if (node == nullptr) return;
+  edge->from_node = nullptr;
+  auto& consumers = node->consumers;
+  consumers.erase(std::remove(consumers.begin(), consumers.end(), edge),
+                  consumers.end());
+  if (consumers.empty()) RetireNodeLocked(node, graveyard);
+}
+
+void DsmsServer::RetireNodeLocked(SharedNode* node, Graveyard* graveyard) {
+  // Last reference gone: the node retires, releasing what it reads.
+  for (auto& input : node->inputs) ReleaseEdgeLocked(input.get(), graveyard);
+  shared_by_key_.erase(node->key);
+  auto it = shared_nodes_.find(node->seq);
+  graveyard->push_back(std::move(it->second));
+  shared_nodes_.erase(it);
+}
+
+Status DsmsServer::RefreshDemandLocked() {
+  // Consumers before producers: every consumer of a node is younger.
+  for (auto it = shared_nodes_.rbegin(); it != shared_nodes_.rend(); ++it) {
+    SharedNode* node = it->second.get();
+    std::optional<BoundingBox> demand = BoundingBox();
+    for (const Edge* consumer : node->consumers) {
+      if (!consumer->attached) continue;
+      if (!consumer->routed) {
+        demand.reset();
+        break;
+      }
+      demand->ExpandToInclude(consumer->routed->bounds());
+    }
+    // Unchanged demand leaves the inputs' routes as they are.
+    if (node->routed && SameBox(node->demand, demand)) continue;
+    node->demand = demand;
+    node->routed = true;
+    std::optional<BoundingBox> bound = demand;
+    if (demand && !demand->empty()) bound = InputBoxFor(*node->canon, *demand);
+    for (auto& input : node->inputs) {
+      std::optional<BoundingBox> snapped = bound;
+      if (bound) {
+        snapped = SnapOutward(*bound,
+                              input->from->desc.reference_lattice().Extent());
+      }
+      GEOSTREAMS_RETURN_IF_ERROR(RouteEdgeLocked(input.get(), snapped));
+    }
+  }
+  return Status::OK();
+}
+
+Status DsmsServer::Bury(Graveyard* graveyard) {
+  Status status = Status::OK();
+  for (auto& node : *graveyard) {
+    if (scheduler_ && node->sched_pipeline != SIZE_MAX) {
+      Status st = scheduler_->RemovePipeline(node->sched_pipeline);
+      if (status.ok()) status = st;
+    }
+  }
+  graveyard->clear();
+  return status;
 }
 
 Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
@@ -682,13 +1149,17 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   // query yet, and `catching_up` blocks a racing UnregisterQuery from
   // destroying the entries the replay below holds raw pointers to.
   QueryId id = 0;
-  std::vector<QueryState::PendingWire> wires;
+  // The query's (still detached) inputs. Their fields stay put while
+  // `catching_up` holds the query in place.
+  std::vector<Edge*> wires;
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
     GEOSTREAMS_ASSIGN_OR_RETURN(
         id, RegisterInternal(query_text, std::move(callback), "",
                              /*defer_wiring=*/true));
-    wires = queries_.at(id)->pending_wires;
+    for (const auto& edge : queries_.at(id)->inputs) {
+      wires.push_back(edge.get());
+    }
   }
   if (catch_up.on_registered) catch_up.on_registered(id);
 
@@ -710,26 +1181,32 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     int64_t frame_id;
     size_t wire;
   };
-  auto wire_scan = [](const QueryState::PendingWire& wire) {
+  auto wire_scan = [](const Edge& wire) {
     StoreScan scan;
-    scan.region = wire.region;
+    scan.region = Intersect(
+        wire.region, wire.hint ? std::make_shared<BBoxRegion>(*wire.hint)
+                               : RegionPtr());
     scan.times = wire.times;
     return scan;
+  };
+  auto wire_source = [](const Edge& wire) -> const std::string& {
+    return wire.from->desc.name();
   };
   std::vector<int64_t> replayed_to(wires.size(),
                                    std::numeric_limits<int64_t>::min());
   std::vector<ReplayItem> items;
   for (size_t w = 0; w < wires.size(); ++w) {
-    const int64_t hi = store_->Watermark(wires[w].source);
+    const std::string& source = wire_source(*wires[w]);
+    const int64_t hi = store_->Watermark(source);
     // Retention may have pruned history the SINCE bound asks for. The
     // replay below clamps to the oldest retained frame automatically
     // (FrameIds only returns what exists); what must not happen is the
     // truncation passing silently.
-    const StoreHorizon horizon = store_->Horizon(wires[w].source);
+    const StoreHorizon horizon = store_->Horizon(source);
     if (horizon.frames_pruned > 0 && catch_up.since <= horizon.pruned_upto) {
       if (m_catchup_truncated_) m_catchup_truncated_->Increment();
       GEOSTREAMS_LOG(kWarning)
-          << "catch-up on '" << wires[w].source << "' truncated: SINCE "
+          << "catch-up on '" << source << "' truncated: SINCE "
           << catch_up.since << " reaches below retained history (oldest "
           << "retained frame "
           << (horizon.oldest_frame_id == std::numeric_limits<int64_t>::max()
@@ -737,7 +1214,7 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
                   : horizon.oldest_frame_id)
           << ", " << horizon.frames_pruned << " frames pruned)";
     }
-    for (int64_t fid : store_->FrameIds(wires[w].source, catch_up.since, hi)) {
+    for (int64_t fid : store_->FrameIds(source, catch_up.since, hi)) {
       items.push_back({fid, w});
     }
   }
@@ -758,8 +1235,8 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   }
   size_t since_flush = 0;
   for (const ReplayItem& item : items) {
-    const QueryState::PendingWire& wire = wires[item.wire];
-    Status st = store_->ScanFrame(wire.source, item.frame_id,
+    const Edge& wire = *wires[item.wire];
+    Status st = store_->ScanFrame(wire_source(wire), item.frame_id,
                                   wire_scan(wire), wire.entry);
     if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
     replayed_to[item.wire] = item.frame_id;
@@ -789,18 +1266,19 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   }
   QueryState* query = it->second.get();
   for (size_t w = 0; w < wires.size(); ++w) {
-    const QueryState::PendingWire& wire = wires[w];
-    const int64_t w0 = store_->Watermark(wire.source);
+    Edge& wire = *wires[w];
+    const std::string source_name = wire_source(wire);
+    const int64_t w0 = store_->Watermark(source_name);
     const int64_t lo =
         replayed_to[w] == std::numeric_limits<int64_t>::min()
             ? catch_up.since
             : replayed_to[w] + 1;
     if (lo <= w0) {
-      for (int64_t fid : store_->FrameIds(wire.source, lo, w0)) {
+      for (int64_t fid : store_->FrameIds(source_name, lo, w0)) {
         // Inline, no Flush: the delta is bounded by one phase-1 flush
         // window, and WaitIdle here would deadlock against workers
         // taking the shared lock to feed derived streams.
-        Status st = store_->ScanFrame(wire.source, fid, wire_scan(wire),
+        Status st = store_->ScanFrame(source_name, fid, wire_scan(wire),
                                       wire.entry);
         if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
         if (m_catchup_frames_) m_catchup_frames_->Increment();
@@ -808,7 +1286,6 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     }
     TileStore* store = store_.get();
     Counter* seam_counter = m_seam_frames_;
-    const std::string source_name = wire.source;
     StoreScan seam_scan = wire_scan(wire);
     auto replay = [store, seam_counter, source_name, seam_scan](
                       int64_t after, int64_t before, EventSink* sink) {
@@ -828,24 +1305,9 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     };
     query->gates.push_back(
         std::make_unique<CatchUpGate>(wire.entry, w0, std::move(replay)));
-    CatchUpGate* gate = query->gates.back().get();
-
-    auto source_it = sources_.find(wire.source);
-    if (source_it == sources_.end()) {
-      return Status::Internal("catch-up source vanished: " + wire.source);
-    }
-    if (wire.is_peeled) {
-      QueryState::Peeled& peeled = query->peeled[wire.peeled_index];
-      peeled.shared_id =
-          id * 1000 + static_cast<QueryId>(wire.peeled_index);
-      GEOSTREAMS_RETURN_IF_ERROR(source_it->second->shared->RegisterQuery(
-          peeled.shared_id, peeled.region, gate));
-    } else {
-      source_it->second->direct_targets.push_back(gate);
-      query->direct.emplace_back(wire.source, gate);
-    }
+    wire.entry = query->gates.back().get();
+    GEOSTREAMS_RETURN_IF_ERROR(RouteEdgeLocked(&wire, wire.hint));
   }
-  query->pending_wires.clear();
   query->catching_up = false;
   GEOSTREAMS_LOG(kInfo) << "query " << id << " caught up: " << items.size()
                         << " stored frames replayed, live at the watermark";
@@ -956,19 +1418,23 @@ Result<QueryId> DsmsServer::RegisterInternal(
     sources_.emplace(derived_name, std::move(source));
   }
 
-  ExprPtr plan_expr = CloneExpr(optimized);
-  if (options_.shared_restriction) {
-    plan_expr = PeelLeafRestrictions(id, plan_expr, query.get());
-  }
+  // Continuous views and catch-up registrations keep a private plan:
+  // a view is a named product already, and a catch-up replay drives
+  // the plan's inputs directly from the store.
+  const Lowering mode = !options_.shared_restriction ? Lowering::kDirect
+                        : defer_wiring || !derived_name.empty()
+                            ? Lowering::kPeel
+                            : Lowering::kShare;
+  std::vector<PlanInput> plan_inputs;
+  ExprPtr plan_expr =
+      LowerPlan(optimized, mode,
+                StringPrintf("q%lld", static_cast<long long>(id)),
+                &plan_inputs);
   // Temporal IO-pruning hints for the catch-up replay, keyed by the
-  // plan's leaf names (synthetic for peeled inputs).
+  // plan's (per-input) leaf names.
   std::map<std::string, std::vector<TimeSet>> time_hints;
   if (defer_wiring) {
-    std::map<std::string, int> leaf_count;
-    CollectTimeHints(plan_expr, {}, &time_hints, &leaf_count);
-    for (const auto& [leaf, count] : leaf_count) {
-      if (count > 1) time_hints[leaf].clear();
-    }
+    CollectTimeHints(plan_expr, {}, &time_hints);
   }
   GEOSTREAMS_ASSIGN_OR_RETURN(query->plan,
                               BuildPlan(plan_expr, plan_sink, &memory_));
@@ -986,75 +1452,93 @@ Result<QueryId> DsmsServer::RegisterInternal(
         {{"op", "delivery"}}));
   }
 
-  // Wire plan inputs to sources (peeled leaves via the shared
-  // restriction index, the rest directly). With a worker pool, every
+  // Wire plan inputs to their streams (through the stream's index
+  // when restricted, directly otherwise). With a worker pool, every
   // plan input is wrapped in a scheduler entry for the query's single
   // pipeline: sources enqueue cheaply, and the plan itself runs on
   // whichever worker claims the pipeline.
-  for (const std::string& input_name : query->plan->input_names()) {
-    EventSink* entry = query->plan->input(input_name);
-    if (scheduler_) {
-      if (query->sched_pipeline == SIZE_MAX) {
-        query->sched_pipeline = scheduler_->AddPipelineGroup(
-            StringPrintf("q%lld", static_cast<long long>(id)));
-        // The delivery operator sits downstream of the plan (it is
-        // the plan's sink, not one of its ops), so its assembler must
-        // be reset explicitly or a restart would resume into a frame
-        // left open by the fault (null for derived streams).
-        ExecutablePlan* plan = query->plan.get();
-        DeliveryOp* delivery = query->delivery.get();
-        scheduler_->SetPipelineReset(query->sched_pipeline,
-                                     [plan, delivery] {
-                                       plan->Reset();
-                                       if (delivery) delivery->Reset();
-                                     });
+  Graveyard graveyard;
+  Status wired = [&]() -> Status {
+    for (const PlanInput& input : plan_inputs) {
+      auto edge = std::make_unique<Edge>();
+      edge->region = input.handle.region;
+      edge->hint = input.handle.hint;
+      edge->times = time_hints[input.name];
+      if (input.handle.node) {
+        GEOSTREAMS_ASSIGN_OR_RETURN(edge->from_node,
+                                    InternLocked(*input.handle.node));
+        edge->from = edge->from_node->stream.get();
+        edge->from_node->consumers.push_back(edge.get());
+      } else {
+        edge->from = input.handle.source;
       }
-      entry = scheduler_->AddPipelineInput(query->sched_pipeline, entry);
-      query->isolated.push_back(
-          std::make_unique<IsolatedEntrySink>(entry));
-      entry = query->isolated.back().get();
+      Edge* raw = edge.get();
+      query->inputs.push_back(std::move(edge));
+      raw->entry = query->plan->input(input.name);
+      if (scheduler_) {
+        if (query->sched_pipeline == SIZE_MAX) {
+          query->sched_pipeline = scheduler_->AddPipelineGroup(
+              StringPrintf("q%lld", static_cast<long long>(id)));
+          // The delivery operator sits downstream of the plan (it is
+          // the plan's sink, not one of its ops), so its assembler must
+          // be reset explicitly or a restart would resume into a frame
+          // left open by the fault (null for derived streams).
+          ExecutablePlan* plan = query->plan.get();
+          DeliveryOp* delivery = query->delivery.get();
+          scheduler_->SetPipelineReset(query->sched_pipeline,
+                                       [plan, delivery] {
+                                         plan->Reset();
+                                         if (delivery) delivery->Reset();
+                                       });
+        }
+        raw->entry =
+            scheduler_->AddPipelineInput(query->sched_pipeline, raw->entry);
+        query->isolated.push_back(
+            std::make_unique<IsolatedEntrySink>(raw->entry));
+        raw->entry = query->isolated.back().get();
+      }
+      if (!defer_wiring) {
+        GEOSTREAMS_RETURN_IF_ERROR(RouteEdgeLocked(raw, raw->hint));
+      }
     }
-    auto peeled_it = std::find_if(
-        query->peeled.begin(), query->peeled.end(),
-        [&](const QueryState::Peeled& p) {
-          return p.input_name == input_name;
-        });
-    if (peeled_it != query->peeled.end()) {
-      if (defer_wiring) {
-        QueryState::PendingWire wire;
-        wire.source = peeled_it->source;
-        wire.input_name = input_name;
-        wire.entry = entry;
-        wire.region = peeled_it->region;
-        wire.times = time_hints[input_name];
-        wire.is_peeled = true;
-        wire.peeled_index =
-            static_cast<size_t>(peeled_it - query->peeled.begin());
-        query->pending_wires.push_back(std::move(wire));
-        continue;
+    return RefreshDemandLocked();
+  }();
+  if (!wired.ok()) {
+    // Nothing has flowed yet (the exclusive lock is still held), so
+    // the pipelines can go right away.
+    for (auto& edge : query->inputs) ReleaseEdgeLocked(edge.get(), &graveyard);
+    std::vector<uint64_t> seqs;
+    for (const auto& [seq, node] : shared_nodes_) seqs.push_back(seq);
+    for (auto seq = seqs.rbegin(); seq != seqs.rend(); ++seq) {
+      auto orphan = shared_nodes_.find(*seq);
+      if (orphan != shared_nodes_.end() && orphan->second->consumers.empty()) {
+        RetireNodeLocked(orphan->second.get(), &graveyard);
       }
-      SourceState* source = sources_.at(peeled_it->source).get();
-      peeled_it->shared_id = id * 1000 +
-          static_cast<QueryId>(peeled_it - query->peeled.begin());
-      GEOSTREAMS_RETURN_IF_ERROR(source->shared->RegisterQuery(
-          peeled_it->shared_id, peeled_it->region, entry));
+    }
+    Status ignored = Bury(&graveyard);
+    (void)ignored;
+    if (scheduler_ && query->sched_pipeline != SIZE_MAX) {
+      ignored = scheduler_->RemovePipeline(query->sched_pipeline);
+    }
+    return wired;
+  }
+  // Subscribers: every node this query reads, once each.
+  std::vector<SharedNode*> frontier;
+  for (const auto& edge : query->inputs) {
+    if (edge->from_node) frontier.push_back(edge->from_node);
+  }
+  while (!frontier.empty()) {
+    SharedNode* node = frontier.back();
+    frontier.pop_back();
+    if (std::find(query->nodes.begin(), query->nodes.end(), node) !=
+        query->nodes.end()) {
       continue;
     }
-    auto source_it = sources_.find(input_name);
-    if (source_it == sources_.end()) {
-      return Status::NotFound("query reads unknown stream: " + input_name);
+    query->nodes.push_back(node);
+    ++node->subscribers;
+    for (const auto& in : node->inputs) {
+      if (in->from_node) frontier.push_back(in->from_node);
     }
-    if (defer_wiring) {
-      QueryState::PendingWire wire;
-      wire.source = input_name;
-      wire.input_name = input_name;
-      wire.entry = entry;
-      wire.times = time_hints[input_name];
-      query->pending_wires.push_back(std::move(wire));
-      continue;
-    }
-    source_it->second->direct_targets.push_back(entry);
-    query->direct.emplace_back(input_name, entry);
   }
   query->catching_up = defer_wiring;
 
@@ -1067,6 +1551,8 @@ Result<QueryId> DsmsServer::RegisterInternal(
 
 Status DsmsServer::UnregisterQuery(QueryId id) {
   size_t pipeline = SIZE_MAX;
+  Graveyard graveyard;
+  Status status = Status::OK();
   {
     std::unique_lock<std::shared_mutex> lock(state_mu_);
     auto it = queries_.find(id);
@@ -1094,24 +1580,12 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
           static_cast<long long>(id)));
     }
     query.unregistering = true;
-    for (const auto& peeled : query.peeled) {
-      // shared_id 0 = never wired (a catch-up registration that
-      // failed before phase 2); nothing to detach.
-      if (peeled.shared_id == 0) continue;
-      auto source_it = sources_.find(peeled.source);
-      if (source_it != sources_.end() && source_it->second->shared) {
-        Status st = source_it->second->shared->UnregisterQuery(
-            peeled.shared_id);
-        if (!st.ok()) return st;
-      }
-    }
-    for (const auto& [source_name, entry] : query.direct) {
-      auto source_it = sources_.find(source_name);
-      if (source_it == sources_.end()) continue;
-      auto& targets = source_it->second->direct_targets;
-      targets.erase(std::remove(targets.begin(), targets.end(), entry),
-                    targets.end());
-    }
+    for (SharedNode* node : query.nodes) --node->subscribers;
+    query.nodes.clear();
+    // Inputs that never got wired (a catch-up registration that failed
+    // before going live) detach as no-ops.
+    for (auto& edge : query.inputs) ReleaseEdgeLocked(edge.get(), &graveyard);
+    status = RefreshDemandLocked();
     pipeline = query.sched_pipeline;
   }
   if (scheduler_ && pipeline != SIZE_MAX) {
@@ -1123,15 +1597,23 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
     // feed a derived stream (see state_mu_'s comment). The query is
     // already invisible to new producers (`unregistering` + detached
     // sources), so nothing re-wires it while we wait.
-    GEOSTREAMS_RETURN_IF_ERROR(scheduler_->RemovePipeline(pipeline));
+    Status removed = scheduler_->RemovePipeline(pipeline);
+    if (!removed.ok()) {
+      Status ignored = Bury(&graveyard);
+      (void)ignored;
+      return removed;
+    }
   }
+  // Retired shared nodes go the same way, for the same reason.
+  Status buried = Bury(&graveyard);
+  if (status.ok()) status = buried;
   std::unique_lock<std::shared_mutex> lock(state_mu_);
   queries_.erase(id);
-  return Status::OK();
+  return status;
 }
 
 Status DsmsServer::RestartQuery(QueryId id) {
-  size_t pipeline = SIZE_MAX;
+  std::vector<size_t> pipelines;
   {
     std::shared_lock<std::shared_mutex> lock(state_mu_);
     auto it = queries_.find(id);
@@ -1139,15 +1621,24 @@ Status DsmsServer::RestartQuery(QueryId id) {
       return Status::NotFound(StringPrintf(
           "query %lld not registered", static_cast<long long>(id)));
     }
-    pipeline = it->second->sched_pipeline;
+    pipelines.push_back(it->second->sched_pipeline);
+    for (const SharedNode* node : it->second->nodes) {
+      pipelines.push_back(node->sched_pipeline);
+    }
   }
-  if (!scheduler_ || pipeline == SIZE_MAX) {
+  if (!scheduler_ || pipelines.front() == SIZE_MAX) {
     // Synchronous server: no supervisor, nothing quarantines.
     return Status::OK();
   }
   // RestartPipeline waits for the pipeline's in-flight event; run it
   // with the state lock released (same reasoning as UnregisterQuery).
-  return scheduler_->RestartPipeline(pipeline);
+  // Shared nodes restart too (a no-op while they run): a quarantined
+  // node starves every subscriber. One retired meanwhile is NotFound.
+  for (size_t p = 1; p < pipelines.size(); ++p) {
+    Status ignored = scheduler_->RestartPipeline(pipelines[p]);
+    (void)ignored;
+  }
+  return scheduler_->RestartPipeline(pipelines.front());
 }
 
 Result<std::vector<DeadLetter>> DsmsServer::DeadLetters(QueryId id) const {
@@ -1257,7 +1748,11 @@ Result<PipelineHealth> DsmsServer::QueryHealth(QueryId id) const {
   if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
     return PipelineHealth::kRunning;
   }
-  return scheduler_->Health(it->second->sched_pipeline);
+  PipelineHealth worst = scheduler_->Health(it->second->sched_pipeline);
+  for (const SharedNode* node : it->second->nodes) {
+    worst = std::max(worst, scheduler_->Health(node->sched_pipeline));
+  }
+  return worst;
 }
 
 Status DsmsServer::QueryError(QueryId id) const {
@@ -1270,7 +1765,29 @@ Status DsmsServer::QueryError(QueryId id) const {
   if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
     return Status::OK();
   }
-  return scheduler_->PipelineError(it->second->sched_pipeline);
+  Status error = scheduler_->PipelineError(it->second->sched_pipeline);
+  for (const SharedNode* node : it->second->nodes) {
+    if (!error.ok()) break;
+    error = scheduler_->PipelineError(node->sched_pipeline);
+  }
+  return error;
+}
+
+size_t DsmsServer::num_shared_nodes() const {
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  return shared_nodes_.size();
+}
+
+size_t DsmsServer::num_restriction_entries() const {
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  size_t total = 0;
+  for (const auto& [name, source] : sources_) {
+    if (source->shared) total += source->shared->num_queries();
+  }
+  for (const auto& [seq, node] : shared_nodes_) {
+    total += node->stream->shared->num_queries();
+  }
+  return total;
 }
 
 Status DsmsServer::Flush() {
@@ -1307,6 +1824,28 @@ Status DsmsServer::EndAllStreams() {
   return Flush();
 }
 
+std::string DsmsServer::ExplainSharedNodes(const QueryState& query,
+                                           bool with_metrics) const {
+  if (query.nodes.empty()) return "";
+  std::vector<const SharedNode*> nodes(query.nodes.begin(), query.nodes.end());
+  std::sort(nodes.begin(), nodes.end(),
+            [](const SharedNode* a, const SharedNode* b) {
+              return a->seq < b->seq;
+            });
+  std::string out =
+      "shared nodes (computed once, split per consumer by the node's "
+      "cascade tree):\n";
+  for (const SharedNode* node : nodes) {
+    out += StringPrintf(
+        "n%llu %s subscribers=%zu consumers=%zu demand=%s\n",
+        static_cast<unsigned long long>(node->seq), node->key.c_str(),
+        node->subscribers, node->consumers.size(),
+        DemandText(node->demand).c_str());
+    if (with_metrics) out += ExplainPlanMetrics(*node->plan);
+  }
+  return out;
+}
+
 Result<std::string> DsmsServer::Explain(QueryId id) const {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
   auto it = queries_.find(id);
@@ -1314,7 +1853,8 @@ Result<std::string> DsmsServer::Explain(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  return ExplainQuery(it->second->optimized);
+  return ExplainQuery(it->second->optimized) +
+         ExplainSharedNodes(*it->second, /*with_metrics=*/false);
 }
 
 Result<std::string> DsmsServer::ExplainAnalyze(QueryId id) const {
@@ -1324,7 +1864,10 @@ Result<std::string> DsmsServer::ExplainAnalyze(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  return ExplainPlanMetrics(*it->second->plan);
+  // Shared nodes' counters are the whole node's work; `subscribers`
+  // says how many queries that cost is split between.
+  return ExplainPlanMetrics(*it->second->plan) +
+         ExplainSharedNodes(*it->second, /*with_metrics=*/true);
 }
 
 Result<TraceRing::Snapshot> DsmsServer::QueryTraces(QueryId id) const {

@@ -6,10 +6,17 @@
 // optimizes them, lowers them to physical plans ending in a PNG-
 // capable delivery operator, and routes ingested stream events to
 // every interested plan. When shared-restriction mode is on (the
-// default), spatial restrictions that the optimizer pushed down to a
-// stream leaf are peeled off and registered with a per-stream dynamic
-// cascade tree, which then acts as the single spatial restriction
-// operator for all queries (Sec. 4).
+// default), every stream carries a dynamic cascade tree that acts as
+// the single spatial restriction operator for all of its consumers
+// (Sec. 4), and the live query graph is hash-consed: each compute
+// operator (composition, re-projection, magnify/reduce, value
+// transform, stretch, aggregate) runs once per distinct input as a
+// refcounted shared node, keyed by its canonical text. A node is
+// itself a hidden stream with its own cascade tree, so the tree is
+// the late splitter for everything query-specific, and each node
+// computes only its demand: the bounding box of its consumers' boxes,
+// mapped back through the operator by the pushdown box math
+// (InputBoxFor). See DESIGN.md, "Shared operator DAG".
 
 #ifndef GEOSTREAMS_SERVER_DSMS_SERVER_H_
 #define GEOSTREAMS_SERVER_DSMS_SERVER_H_
@@ -19,6 +26,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -41,7 +49,9 @@
 namespace geostreams {
 
 struct DsmsOptions {
-  /// Peel leaf spatial restrictions into a shared per-stream index.
+  /// Route spatial restrictions through a shared per-stream index, and
+  /// share compute subplans between live queries (see the file
+  /// comment). Off, every plan reads whole streams privately.
   bool shared_restriction = true;
   /// Index structure for the shared restriction.
   enum class IndexKind { kCascadeTree, kGrid, kFilterBank };
@@ -254,14 +264,17 @@ class DsmsServer {
   /// queries share one delivery chain, so every query id answers with
   /// the shared inline ring. NotFound for unknown ids.
   Result<TraceRing::Snapshot> QueryTraces(QueryId id) const;
-  /// EXPLAIN text of a registered query's optimized plan.
+  /// EXPLAIN text of a registered query's optimized plan, followed by
+  /// the shared nodes it reads (subscribers, consumers, demand box).
   Result<std::string> Explain(QueryId id) const;
-  /// EXPLAIN ANALYZE: the physical operators' actual runtime counters.
+  /// EXPLAIN ANALYZE: the physical operators' actual runtime counters,
+  /// the query's own and those of every shared node it reads.
   Result<std::string> ExplainAnalyze(QueryId id) const;
   /// Points delivered to a query's callback so far.
   Result<uint64_t> FramesDelivered(QueryId id) const;
 
-  /// Supervision health of a query's pipeline. Always kRunning when
+  /// Supervision health of a query's pipeline, or of the worst shared
+  /// node pipeline it reads. Always kRunning when
   /// the server is synchronous (workers = 0): without a pool there is
   /// no supervisor and plan errors surface on the ingest call instead.
   Result<PipelineHealth> QueryHealth(QueryId id) const;
@@ -270,6 +283,12 @@ class DsmsServer {
   Status QueryError(QueryId id) const;
   /// Registered query ids, ascending (derived streams included).
   std::vector<QueryId> QueryIds() const;
+  /// Shared operator nodes currently alive (hash-consed compute
+  /// subplans; they never appear in the catalog).
+  size_t num_shared_nodes() const;
+  /// Registrations held by every shared-restriction index — base
+  /// streams, derived views and shared nodes together.
+  size_t num_restriction_entries() const;
 
   /// Un-quarantines a query (the control plane's `RESTART <id>`):
   /// clears the recorded error, resets the operator chain, and grants
@@ -311,23 +330,61 @@ class DsmsServer {
  private:
   struct SourceState;
   struct QueryState;
+  struct SharedNode;
+  struct Edge;
+  struct Handle;
+  struct NodeSpec;
+  struct PlanInput;
   class IsolatedEntrySink;
   class GuardedIngestSink;
+  using Graveyard = std::vector<std::unique_ptr<SharedNode>>;
+
+  /// How RegisterInternal lowers a plan onto the streams it reads.
+  enum class Lowering {
+    kDirect,  // shared restriction off: plans read whole streams
+    kPeel,    // leaf spatial restrictions go into the stream's index
+    kShare,   // plus: compute subplans become shared nodes
+  };
 
   /// When `defer_wiring` is set (the catch-up path), plan inputs are
-  /// built and recorded as pending wirings but NOT attached to their
-  /// sources — the caller attaches them later, behind CatchUpGates,
-  /// after replaying history (see RegisterQuery's catch-up overload).
+  /// built but NOT attached to their sources — the caller attaches
+  /// them later, behind CatchUpGates, after replaying history (see
+  /// RegisterQuery's catch-up overload).
   Result<QueryId> RegisterInternal(const std::string& query_text,
                                    FrameCallback callback,
                                    const std::string& derived_name,
                                    bool defer_wiring = false);
 
-  /// Peels optimizer-pushed leaf restrictions region(stream) out of
-  /// the tree, recording (stream, region) pairs; the peeled leaves get
-  /// unique per-query input names.
-  ExprPtr PeelLeafRestrictions(QueryId id, ExprPtr expr,
-                               QueryState* query);
+  /// The stream handle equivalent to `e`, or nullopt when `e` must run
+  /// in a private plan. Pure: shared nodes are described, not built.
+  std::optional<Handle> LowerHandle(const ExprPtr& e, Lowering mode) const;
+  /// Replaces every maximal handle subtree of `e` with a synthetic
+  /// leaf named `<prefix>.in<k>`, recording the handle in `inputs`.
+  ExprPtr LowerPlan(const ExprPtr& e, Lowering mode,
+                    const std::string& prefix,
+                    std::vector<PlanInput>* inputs) const;
+  /// Finds or builds the shared node described by `spec` (and its
+  /// inputs, recursively). New nodes have no consumers yet.
+  Result<SharedNode*> InternLocked(const NodeSpec& spec);
+  /// (Re)registers `edge` at its upstream stream: its exact region
+  /// narrowed by `bound` (nullopt = unbounded) goes into the stream's
+  /// cascade tree; with neither, the edge is a direct target.
+  Status RouteEdgeLocked(Edge* edge, std::optional<BoundingBox> bound);
+  void DetachEdgeLocked(Edge* edge);
+  /// Detaches `edge` and drops its reference on a shared upstream
+  /// node; nodes left without consumers retire into `graveyard`.
+  void ReleaseEdgeLocked(Edge* edge, Graveyard* graveyard);
+  void RetireNodeLocked(SharedNode* node, Graveyard* graveyard);
+  /// Recomputes every shared node's demand, consumers first, and
+  /// re-routes node inputs whose bound changed.
+  Status RefreshDemandLocked();
+  /// Removes retired nodes' scheduler pipelines (waits for in-flight
+  /// events: call with state_mu_ released unless the nodes never
+  /// received one) and destroys the nodes.
+  Status Bury(Graveyard* graveyard);
+  /// The physical section of EXPLAIN: the shared nodes `query` reads.
+  std::string ExplainSharedNodes(const QueryState& query,
+                                 bool with_metrics) const;
 
   /// Registers the scrape-time collectors that mirror scheduler,
   /// memory, and ingest-boundary figures into the registry. Called
@@ -392,6 +449,13 @@ class DsmsServer {
   std::map<std::string, std::unique_ptr<SourceState>> sources_;
   std::map<QueryId, std::unique_ptr<QueryState>> queries_;
   QueryId next_query_id_ = 1;
+  /// The shared operator DAG: live nodes by creation order (a node's
+  /// inputs are always older than the node) and by canonical key.
+  std::map<uint64_t, std::unique_ptr<SharedNode>> shared_nodes_;
+  std::map<std::string, SharedNode*> shared_by_key_;
+  uint64_t next_node_seq_ = 1;
+  /// Registration ids in the shared-restriction indexes.
+  QueryId next_edge_id_ = 1;
 };
 
 }  // namespace geostreams

@@ -1034,28 +1034,34 @@ Status TileStore::ReadTileRecord(SourceStore* src, const TileRef& ref,
     if (it != src->read_fds.end()) fd = it->second;
   }
   if (fd < 0) {
-    std::string path;
+    std::lock_guard<std::mutex> seg_lock(src->mu);
+    // Look again under mu: a GC pass that retired the segment while
+    // this reader waited for mu cached a pre-unlink fd for it.
     {
-      std::lock_guard<std::mutex> seg_lock(src->mu);
+      std::lock_guard<std::mutex> lock(src->read_mu);
+      auto it = src->read_fds.find(ref.segment);
+      if (it != src->read_fds.end()) fd = it->second;
+    }
+    if (fd < 0) {
       if (ref.segment >= src->segments.size()) {
         return Status::Internal("tile ref names an unknown segment");
       }
       if (src->segments[ref.segment].dead) {
-        // Only reachable when GC's pre-unlink fd cache failed: the
-        // tile is gone; the scan serves what survives.
+        // Only reachable when GC's pre-unlink open failed: the tile is
+        // gone; the scan serves what survives.
         return Status::IoError("tile page segment retired under the index");
       }
-      path = src->segments[ref.segment].path;
+      // Open while still holding mu: GC unlinks only under mu, so the
+      // path cannot vanish between the check above and the open.
+      const std::string& path = src->segments[ref.segment].path;
+      const int opened = ::open(path.c_str(), O_RDONLY);
+      if (opened < 0) {
+        return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
+                                            std::strerror(errno)));
+      }
+      std::lock_guard<std::mutex> lock(src->read_mu);
+      fd = src->read_fds.emplace(ref.segment, opened).first->second;
     }
-    const int opened = ::open(path.c_str(), O_RDONLY);
-    if (opened < 0) {
-      return Status::IoError(StringPrintf("open %s: %s", path.c_str(),
-                                          std::strerror(errno)));
-    }
-    std::lock_guard<std::mutex> lock(src->read_mu);
-    auto [it, inserted] = src->read_fds.emplace(ref.segment, opened);
-    if (!inserted) ::close(opened);  // lost the race; use the cached fd
-    fd = it->second;
   }
   buf->resize(ref.length);
   size_t got = 0;

@@ -12,6 +12,15 @@ void MemoryTracker::Update(const std::string& owner, uint64_t bytes) {
   if (total_ > high_water_) high_water_ = total_;
 }
 
+void MemoryTracker::Remove(const std::string& owner) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = current_.find(owner);
+  if (it == current_.end()) return;
+  total_ -= it->second;
+  current_.erase(it);
+  owner_high_water_.erase(owner);
+}
+
 uint64_t MemoryTracker::TotalBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_;

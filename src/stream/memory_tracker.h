@@ -18,6 +18,10 @@ class MemoryTracker {
   /// Replaces the current figure for `owner` and updates totals.
   void Update(const std::string& owner, uint64_t bytes);
 
+  /// Forgets `owner` (an operator being destroyed): its bytes leave
+  /// the total, so torn-down plans do not pin stale figures.
+  void Remove(const std::string& owner);
+
   /// Current total across owners.
   uint64_t TotalBytes() const;
   /// Largest total ever observed.

@@ -73,7 +73,10 @@ class NullSink : public EventSink {
 class Operator {
  public:
   explicit Operator(std::string name) : name_(std::move(name)) {}
-  virtual ~Operator() = default;
+  /// Leaves the bound memory tracker (which must outlive the operator).
+  virtual ~Operator() {
+    if (tracker_) tracker_->Remove(name_);
+  }
 
   Operator(const Operator&) = delete;
   Operator& operator=(const Operator&) = delete;

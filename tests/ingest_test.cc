@@ -601,6 +601,34 @@ TEST(ProducerE2eTest, CleanStreamFeedsQueryChainOverTcp) {
   EXPECT_EQ(fixture.server().IngestChecksumFailures(), 0u);
 }
 
+TEST(ProducerE2eTest, FullWindowWaitsForAcksNotTheResendTimeout) {
+  DsmsOptions options;
+  options.workers = 1;
+  IngestFixture fixture({}, options);
+  ProducerClientOptions producer_options =
+      fixture.ProducerOptions("sat.band1");
+  producer_options.window_messages = 8;
+  ProducerClient producer(producer_options);
+  GS_ASSERT_OK(producer.Connect());
+  // 15 frames of 1 + 12 + 1 events: the 8-deep window fills about
+  // every eighth publish. Each fill used to wait out a whole resend
+  // timeout (250 ms) even with acks flowing, about 6 s in all.
+  const GridLattice lattice = LatLonLattice(16, 12);
+  const auto start = std::chrono::steady_clock::now();
+  for (int64_t frame = 0; frame < 15; ++frame) {
+    GS_ASSERT_OK(testing_util::PushFrame(&producer, lattice, frame));
+  }
+  GS_ASSERT_OK(producer.Flush(10000));
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  EXPECT_EQ(producer.stats().published, 15u * 14u);
+  EXPECT_GT(producer.stats().window_stalls, 0u);
+  EXPECT_EQ(producer.stats().retransmits, 0u);
+  EXPECT_LT(elapsed_s, 2.0);
+  producer.Close();
+}
+
 TEST(ProducerE2eTest, AttachToUnknownSourceIsRefused) {
   IngestFixture fixture;
   ProducerClient producer(fixture.ProducerOptions("no.such.stream"));
@@ -1624,6 +1652,105 @@ TEST(LatencyPlaneE2eTest, SourceStagesObservedOncePerFrameUnderFanOut) {
   b.Close();
   producer.Close();
   std::filesystem::remove_all(journal_dir);
+}
+
+/// Count of the e2e stage series labeled with `stage` and
+/// `query=<query>`, or -1 when absent.
+long long QueryStageCount(const std::string& metrics,
+                          const std::string& stage,
+                          const std::string& query) {
+  const std::string want_stage = "stage=\"" + stage + "\"";
+  const std::string want_query = "query=\"" + query + "\"";
+  for (const std::string& line : Split(metrics, '\n')) {
+    if (!StartsWith(line, "geostreams_e2e_latency_us_count{")) continue;
+    if (line.find(want_stage) == std::string::npos ||
+        line.find(want_query) == std::string::npos) {
+      continue;
+    }
+    return std::stoll(line.substr(line.rfind(' ') + 1));
+  }
+  return -1;
+}
+
+TEST(LatencyPlaneE2eTest, SharedNdviHopKeepsEveryDeliveryStage) {
+  DsmsOptions options;
+  options.workers = 2;
+  options.trace_sample_every = 1;
+  IngestFixture fixture({}, options);
+
+  // Two subscribers of one NDVI product: the composition runs once in
+  // a shared node's pipeline, and its output crosses a second queue
+  // into each subscriber's pipeline.
+  GeoStreamsClient a, b;
+  GS_ASSERT_OK(a.Connect("127.0.0.1", fixture.net().port()));
+  GS_ASSERT_OK(b.Connect("127.0.0.1", fixture.net().port()));
+  auto ra = a.Command("QUERY ndvi(sat.band2, sat.band1)");
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  ASSERT_TRUE(StartsWith(*ra, "OK QUERY ")) << *ra;
+  auto rb = b.Command(
+      "QUERY region(ndvi(sat.band2, sat.band1), bbox(-123, 40, -119, 44))");
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  ASSERT_TRUE(StartsWith(*rb, "OK QUERY ")) << *rb;
+  EXPECT_EQ(fixture.server().num_shared_nodes(), 1u);
+  const std::string id_a = ra->substr(ra->rfind(' ') + 1);
+  const std::string id_b = rb->substr(rb->rfind(' ') + 1);
+
+  ProducerClient band2(fixture.ProducerOptions("sat.band2"));
+  ProducerClient band1(fixture.ProducerOptions("sat.band1"));
+  GS_ASSERT_OK(band2.Connect());
+  GS_ASSERT_OK(band1.Connect());
+  const GridLattice lattice = LatLonLattice(16, 12);
+  for (int64_t frame = 0; frame < 3; ++frame) {
+    GS_ASSERT_OK(testing_util::PushFrame(&band2, lattice, frame));
+    GS_ASSERT_OK(testing_util::PushFrame(&band1, lattice, frame));
+  }
+  GS_ASSERT_OK(band2.Flush(10000));
+  GS_ASSERT_OK(band1.Flush(10000));
+  for (int64_t frame = 0; frame < 3; ++frame) {
+    auto ga = a.ReadFrame(10000);
+    ASSERT_TRUE(ga.ok()) << ga.status().ToString();
+    EXPECT_EQ(ga->samples.size(), static_cast<size_t>(16 * 12));
+    auto gb = b.ReadFrame(10000);
+    ASSERT_TRUE(gb.ok()) << gb.status().ToString();
+  }
+
+  std::string metrics;
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    metrics = fixture.server().RenderMetrics();
+    if (QueryStageCount(metrics, "write", id_a) >= 3 &&
+        QueryStageCount(metrics, "write", id_b) >= 3) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (const std::string& id : {id_a, id_b}) {
+    for (const char* stage : {"operators", "deliver", "write"}) {
+      EXPECT_GE(QueryStageCount(metrics, stage, id), 1)
+          << "query " << id << " stage " << stage << ":\n"
+          << metrics;
+    }
+  }
+  // `total` is once per frame, however many subscribers the shared hop
+  // fans out to. It lands on the source whose FrameEnd completed the
+  // composed frame, which may be either band.
+  long long total = 0;
+  for (const std::string& line : Split(metrics, '\n')) {
+    if (StartsWith(line,
+                   "geostreams_e2e_latency_us_count{stage=\"total\"")) {
+      total += std::stoll(line.substr(line.rfind(' ') + 1));
+    }
+  }
+  EXPECT_GE(total, 1) << metrics;
+  EXPECT_LE(total, 3) << metrics;
+  // The composition is attributed by kind, as for a private plan.
+  EXPECT_NE(metrics.find("geostreams_operator_latency_us_count{op=\"ndvi\"}"),
+            std::string::npos)
+      << metrics;
+
+  a.Close();
+  b.Close();
+  band2.Close();
+  band1.Close();
 }
 
 }  // namespace
