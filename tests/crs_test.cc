@@ -107,12 +107,20 @@ TEST(UtmTest, RejectsFarOutOfZone) {
   EXPECT_FALSE(crs->FromGeographic(60.0, 40.0, &x, &y).ok());
 }
 
+// GoogleTest names a parameter that has no printer by its raw bytes, and
+// CTest registers each case under that name. The three bytes after
+// `north` are therefore explicit members rather than padding: as padding
+// they held whatever the stack held (often part of an address, so the
+// names changed with the load address from run to run). Their values
+// reproduce the names the cases have always been registered under.
 struct UtmCase {
   int zone;
   bool north;
+  unsigned char name_bytes[3];
   double lon;
   double lat;
 };
+static_assert(sizeof(UtmCase) == 24, "case names are the 24 raw bytes");
 
 class UtmRoundTrip : public ::testing::TestWithParam<UtmCase> {};
 
@@ -129,16 +137,16 @@ TEST_P(UtmRoundTrip, SubMillimetreRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, UtmRoundTrip,
-    ::testing::Values(UtmCase{10, true, -121.74, 38.54},
-                      UtmCase{10, true, -123.0, 0.1},
-                      UtmCase{10, true, -120.1, 60.0},
-                      UtmCase{33, true, 15.0, 52.5},
-                      UtmCase{33, true, 12.49, 41.9},
-                      UtmCase{56, false, 151.2, -33.9},
-                      UtmCase{19, false, -70.6, -33.4},
-                      UtmCase{1, true, -177.0, 10.0},
-                      UtmCase{60, true, 177.0, -10.0},
-                      UtmCase{31, true, 3.0, 75.0}));
+    ::testing::Values(UtmCase{10, true, {0x00, 0x00, 0x00}, -121.74, 38.54},
+                      UtmCase{10, true, {0x00, 0x00, 0x00}, -123.0, 0.1},
+                      UtmCase{10, true, {0x55, 0x00, 0x00}, -120.1, 60.0},
+                      UtmCase{33, true, {0xFF, 0xFF, 0xFF}, 15.0, 52.5},
+                      UtmCase{33, true, {0x00, 0x00, 0x00}, 12.49, 41.9},
+                      UtmCase{56, false, {0x7F, 0x00, 0x00}, 151.2, -33.9},
+                      UtmCase{19, false, {0x55, 0x00, 0x00}, -70.6, -33.4},
+                      UtmCase{1, true, {0xFF, 0xFF, 0xFF}, -177.0, 10.0},
+                      UtmCase{60, true, {0x00, 0x00, 0x00}, 177.0, -10.0},
+                      UtmCase{31, true, {0x7F, 0x00, 0x00}, 3.0, 75.0}));
 
 // --- Geostationary ----------------------------------------------------------
 
