@@ -15,12 +15,14 @@
 
 #include <atomic>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "server/dsms_server.h"
 #include "server/scan_schedule.h"
 #include "server/stream_generator.h"
-#include "stream/executor.h"
 
 namespace geostreams {
 namespace {
@@ -143,7 +145,7 @@ void BM_DsmsEndToEnd_WorkerPool(benchmark::State& state) {
   // for its pipeline, and the ingest thread only enqueues. On a
   // multi-core host the series demonstrates near-linear scaling until
   // workers exceed cores; `workers=0` rows in BM_DsmsEndToEnd are the
-  // synchronous baseline.
+  // baseline where the ingest thread runs every pipeline.
   const size_t workers = static_cast<size_t>(state.range(0));
   constexpr int kQueries = 16;
   DsmsOptions options;
@@ -193,8 +195,8 @@ BENCHMARK(BM_DsmsEndToEnd_WorkerPool)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Dsms_ThreadedIngest(benchmark::State& state) {
-  // Ingest decoupled from query processing by a bounded queue
-  // (StageRunner), as a receiving station would run it.
+  // One ingest thread per band, as a receiving station would run its
+  // downlinks; with no worker threads each runs the queries it feeds.
   DsmsServer server;
   StreamGenerator gen(MakeConfig(), ScanSchedule::GoesRoutine());
   CheckOk(gen.Init(), "init");
@@ -202,9 +204,8 @@ void BM_Dsms_ThreadedIngest(benchmark::State& state) {
     CheckOk(server.RegisterStream(ValueOrDie(gen.Descriptor(b), "desc")),
             "register stream");
   }
-  // One single-band query per band so the two ingest worker threads
-  // drive disjoint plans (operators are single-threaded by design;
-  // cross-band queries would need a serializing stage in front).
+  // One single-band query per band, so the two ingest threads drive
+  // disjoint plans.
   std::atomic<uint64_t> frames{0};
   for (const char* q :
        {"region(goes.band2, bbox(-120, 28, -95, 45))",
@@ -215,19 +216,29 @@ void BM_Dsms_ThreadedIngest(benchmark::State& state) {
         });
     CheckOk(id.status(), "register query");
   }
+  // Pre-generated once: the loop times the server, not the simulator.
+  CollectingSink nir, vis;
+  CheckOk(gen.GenerateScans(0, 4, {&nir, &vis}), "scan");
   for (auto _ : state) {
-    StageRunner nir(server.ingest("goes.band2"), 64);
-    StageRunner vis(server.ingest("goes.band1"), 64);
-    CheckOk(gen.GenerateScans(0, 4, {&nir, &vis}), "scan");
-    CheckOk(nir.Drain(), "drain nir");
-    CheckOk(vis.Drain(), "drain vis");
+    std::vector<std::thread> downlinks;
+    for (auto [band, events] :
+         {std::pair{"goes.band2", &nir.events()},
+          std::pair{"goes.band1", &vis.events()}}) {
+      downlinks.emplace_back([&server, band, events] {
+        EventSink* ingest = server.ingest(band);
+        for (const StreamEvent& event : *events) {
+          CheckOk(ingest->Consume(event), "ingest");
+        }
+      });
+    }
+    for (std::thread& downlink : downlinks) downlink.join();
   }
   state.SetItemsProcessed(state.iterations() * 8 * kCells);
   state.counters["ingest_MBps"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * 8.0 * kCells * 4.0 / 1.0e6,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Dsms_ThreadedIngest);
+BENCHMARK(BM_Dsms_ThreadedIngest)->UseRealTime();
 
 }  // namespace
 }  // namespace geostreams

@@ -42,10 +42,10 @@
 // command away. With --trace-every=N every Nth ingested batch carries
 // a trace context (TRACE <query-id> shows the sampled spans).
 //
-// With --workers=N the server runs its query worker pool: every
-// client query becomes one scheduler pipeline and N threads execute
-// them in parallel (N=0, the default, keeps execution synchronous on
-// the ingest thread).
+// Every client query becomes one scheduler pipeline. With --workers=N
+// N threads execute them in parallel; N=0, the default, runs each
+// pipeline on the thread that ingested into it. Supervision, dead
+// letters and traces are the same either way.
 //
 // With --port=P the example turns into a real TCP server: instead of
 // simulating clients in-process it listens on 127.0.0.1:P (P=0 picks
@@ -79,7 +79,6 @@
 #include "server/dsms_server.h"
 #include "server/scan_schedule.h"
 #include "server/stream_generator.h"
-#include "stream/executor.h"
 
 using namespace geostreams;
 
@@ -382,16 +381,15 @@ int main(int argc, char** argv) {
   }
   std::printf("registered %d regional subscriptions\n", num_clients);
 
-  // Decoupled ingest: the generator produces into a bounded queue, the
-  // worker thread drives the server.
-  {
-    StageRunner ingest(server.ingest("goes.band1"), 128);
-    if (Status st = generator.GenerateScans(0, num_scans, {&ingest});
-        !st.ok()) {
-      return Fail(st, "generate");
-    }
-    if (Status st = ingest.Drain(); !st.ok()) return Fail(st, "drain");
-  }
+  // The instrument's downlink: one ingest thread per band drives the
+  // server (with --workers=0 it also runs the queries it feeds).
+  Status generated;
+  std::thread downlink([&] {
+    generated =
+        generator.GenerateScans(0, num_scans, {server.ingest("goes.band1")});
+  });
+  downlink.join();
+  if (!generated.ok()) return Fail(generated, "generate");
   if (Status st = server.EndAllStreams(); !st.ok()) return Fail(st, "end");
 
   // Per-client report + a sample unsubscribe.
@@ -413,8 +411,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(
                   server.memory().HighWaterBytes()));
 
-  if (workers > 0) {
-    // Supervision summary: per-health query counts plus pool-wide
+  {
+    // Supervision summary: per-health query counts plus scheduler-wide
     // fault counters (all zero on a clean run).
     size_t healthy = 0, degraded = 0, quarantined = 0;
     for (const auto& client : clients) {

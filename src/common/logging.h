@@ -1,4 +1,4 @@
-// Minimal leveled logging used by the DSMS server and executor.
+// Minimal leveled logging used by the DSMS server.
 //
 // Logging is off the hot path: operators never log per point; the
 // server logs query registration, pipeline lifecycle, and errors.

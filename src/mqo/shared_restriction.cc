@@ -1,5 +1,7 @@
 #include "mqo/shared_restriction.h"
 
+#include <utility>
+
 #include "common/string_util.h"
 
 namespace geostreams {
@@ -54,11 +56,16 @@ Status SharedRestrictionOp::Consume(const StreamEvent& event) {
       frame_lattice_ = event.frame.lattice;
       [[fallthrough]];
     case EventKind::kFrameEnd:
-    case EventKind::kStreamEnd:
+    case EventKind::kStreamEnd: {
+      // One failing subscriber must not cut the others' frames short:
+      // everyone gets the event, the first error is returned.
+      Status first = Status::OK();
       for (auto& [id, q] : queries_) {
-        GEOSTREAMS_RETURN_IF_ERROR(q.sink->Consume(event));
+        Status st = q.sink->Consume(event);
+        if (!st.ok() && first.ok()) first = std::move(st);
       }
-      return Status::OK();
+      return first;
+    }
     case EventKind::kPointBatch:
       break;
   }
@@ -85,17 +92,20 @@ Status SharedRestrictionOp::Consume(const StreamEvent& event) {
           &batch.values[i * static_cast<size_t>(batch.band_count)]);
     }
   }
+  // Every pending batch goes out (and is reset) even after a
+  // subscriber fails: a batch left pending would ride out with the
+  // next input batch under this batch's frame id.
+  Status first = Status::OK();
   for (auto& [id, q] : queries_) {
     if (!q.pending) continue;
-    StreamEvent out = StreamEvent::Batch(q.pending);
+    StreamEvent out = StreamEvent::Batch(std::move(q.pending));
     // Carry the sampled trace across the shared-restriction split so
     // per-query pipelines downstream (the scheduler fork) still see it.
     out.trace = event.trace;
     Status st = q.sink->Consume(out);
-    q.pending.reset();
-    GEOSTREAMS_RETURN_IF_ERROR(st);
+    if (!st.ok() && first.ok()) first = std::move(st);
   }
-  return Status::OK();
+  return first;
 }
 
 }  // namespace geostreams

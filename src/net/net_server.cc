@@ -424,12 +424,12 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
                             const std::vector<uint8_t>& png) {
   // The delivery callback runs inside the operator chain, so the
   // frame's trace (when sampled) is active on this thread. Entry here
-  // closes the `operators` stage (scheduler claim — or the ingest
-  // anchor on the synchronous path — to chain exit); encode + enqueue
-  // is the `deliver` stage. `total` spans capture (else admission) to
-  // fan-out done, into the per-source series the ingest session's
-  // ISTATS p95 reads — observed once per frame (ClaimTotalStage), not
-  // once per subscribed query.
+  // closes the `operators` stage (scheduler claim to chain exit);
+  // encode + enqueue is the `deliver` stage. `total` spans capture
+  // (else admission) to fan-out done, into the per-source series the
+  // ingest session's ISTATS p95 reads — observed once per frame (by
+  // the fork that owns the source stages), not once per subscribed
+  // query.
   TraceContext* trace = ActiveTrace();
   const bool staged = trace != nullptr && trace->last_anchor_wall_us() != 0;
   const std::string query_label =
@@ -463,7 +463,7 @@ void NetServer::FanOutFrame(DsmsServer* dsms, Subscription* sub,
     const uint64_t birth = trace->capture_wall_us() != 0
                                ? trace->capture_wall_us()
                                : trace->admit_wall_us();
-    if (birth != 0 && now > birth && trace->ClaimTotalStage()) {
+    if (birth != 0 && now > birth && trace->observes_source_stages()) {
       ObserveE2eStage(dsms->metrics_registry(), "total", "source",
                       trace->origin(), now - birth, trace);
     }

@@ -78,12 +78,6 @@ std::shared_ptr<TraceContext> TraceContext::Fork(std::string pipeline) {
   return fork;
 }
 
-bool TraceContext::ClaimTotalStage() {
-  if (!source_stage_owner_ || total_claimed_) return false;
-  total_claimed_ = true;
-  return true;
-}
-
 uint64_t TraceContext::MarkDequeued() {
   if (enqueued_us_ == 0) return 0;
   uint64_t now = TraceNowUs();

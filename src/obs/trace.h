@@ -52,7 +52,7 @@ struct TraceRecord {
   uint64_t ordinal = 0;   // assigned by the ring; survives eviction
   uint64_t trace_id = 0;
   std::string origin;     // source stream name
-  std::string pipeline;   // scheduler queue name ("" when inline)
+  std::string pipeline;   // scheduler queue name
   uint64_t queue_wait_us = 0;
   uint64_t total_us = 0;  // ingest stamp -> Finish()
   /// Wall-clock (Unix epoch) microseconds when the trace was born at
@@ -127,14 +127,10 @@ class TraceContext {
   /// birth, handed to the first Fork (and cleared everywhere else).
   /// Gates the per-source stage observations (`send`, `journal`,
   /// `total`) so a frame fanning out to N pipelines lands in the
-  /// per-source series once, not N times.
+  /// per-source series once, not N times. A fork lives on one
+  /// pipeline, which delivers the event once, so ownership alone
+  /// makes `total` once per frame.
   bool observes_source_stages() const { return source_stage_owner_; }
-
-  /// Claims the once-per-frame per-source `total` observation: true
-  /// exactly once, and only on the owning context. (The inline path
-  /// delivers one trace through every query's chain, so the owner
-  /// flag alone would still observe `total` per query.)
-  bool ClaimTotalStage();
 
   /// TraceRing slot reserved for this trace (exemplar linkage), or
   /// kNoRingOrdinal.
@@ -160,9 +156,8 @@ class TraceContext {
   uint64_t last_anchor_wall_us_ = 0;
   uint64_t ring_ordinal_ = kNoRingOrdinal;
   /// Per-source stage ownership: root holds it until the first Fork
-  /// takes it; ClaimTotalStage burns it for the `total` observation.
+  /// takes it.
   bool source_stage_owner_ = true;
-  bool total_claimed_ = false;
   /// Inclusive time of already-finished child spans at the current
   /// nesting level; SpanTimer saves/zeroes/restores it around each
   /// span to compute exclusive time.
@@ -211,9 +206,9 @@ class ScopedTraceActivation {
   TraceContext* previous_;
 };
 
-/// Bounded ring of finished traces. Thread-safe (the synchronous
-/// ingest path can push from multiple producer threads). Ordinals are
-/// assigned at push and survive eviction, like DeadLetterQueue.
+/// Bounded ring of finished traces. Thread-safe (TRACE snapshots race
+/// the pipeline pushing). Ordinals are assigned at push and survive
+/// eviction, like DeadLetterQueue.
 class TraceRing {
  public:
   explicit TraceRing(size_t capacity) : capacity_(capacity ? capacity : 1) {}

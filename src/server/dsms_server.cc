@@ -99,10 +99,10 @@ struct DsmsServer::SourceState : public EventSink {
   /// True for a shared node's output stream: fed by the node's plan,
   /// never in the catalog, no store sink, no per-source series.
   bool hidden = false;
-  /// Boundary guard handed out by DsmsServer::ingest() (and used as
-  /// the backing plan's sink for derived streams under a worker
-  /// pool): takes the server's state lock in shared mode and runs the
-  /// opt-in checksum check.
+  /// Boundary guard handed out by DsmsServer::ingest() (and the sink
+  /// of the backing plan of derived and hidden streams): takes the
+  /// server's state lock in shared mode and runs the opt-in checksum
+  /// check.
   std::unique_ptr<GuardedIngestSink> guard;
   /// Corrupt batches rejected at this boundary. `boundary_mu` guards
   /// the dead-letter ring and counter: several producers may ingest
@@ -161,16 +161,33 @@ struct DsmsServer::SourceState : public EventSink {
   }
 };
 
-/// Shields ingest fan-out from a failed query: a quarantined
-/// pipeline's Enqueue returns that pipeline's own error, which must
-/// not abort delivery to the remaining (healthy) queries. The error
-/// stays observable through QueryHealth/QueryError and the scheduler's
-/// `rejected` counter.
+/// A plan input's entry: the edge from a stream into the plan's
+/// scheduler pipeline.
+///
+/// It starts the plan at a frame boundary: a plan wired while its
+/// stream is mid-frame would otherwise see the frame's tail without
+/// its FrameBegin, which frame-scoped operators and delivery reject.
+/// Frameless (point-by-point) streams, and catch-up inputs whose
+/// CatchUpGate owns the seam, start at once.
+///
+/// It also shields the stream's fan-out from a failed plan: a
+/// quarantined pipeline's Enqueue returns that pipeline's own error,
+/// which must not abort delivery to the remaining (healthy) plans.
+/// The error stays observable through QueryHealth/QueryError and the
+/// scheduler's `rejected` counter.
 class DsmsServer::IsolatedEntrySink : public EventSink {
  public:
-  explicit IsolatedEntrySink(EventSink* entry) : entry_(entry) {}
+  IsolatedEntrySink(EventSink* entry, bool align)
+      : entry_(entry), aligned_(!align) {}
 
   Status Consume(const StreamEvent& event) override {
+    if (!aligned_) {
+      if (event.kind != EventKind::kFrameBegin &&
+          event.kind != EventKind::kStreamEnd) {
+        return Status::OK();
+      }
+      aligned_ = true;
+    }
     Status st = entry_->Consume(event);
     if (!st.ok() && !warned_) {
       warned_ = true;
@@ -182,58 +199,43 @@ class DsmsServer::IsolatedEntrySink : public EventSink {
 
  private:
   EventSink* entry_;
+  bool aligned_;
   bool warned_ = false;
 };
 
-namespace {
-
-/// Starts a shared node's input at a frame boundary: a node created
-/// (or given a new input) while its upstream is mid-frame would
-/// otherwise see the frame's tail without its FrameBegin, which frame-
-/// scoped operators reject — and a quarantined node starves every
-/// subscriber. Frameless (point-by-point) streams start at once.
-class FrameAlignedSink : public EventSink {
- public:
-  FrameAlignedSink(EventSink* next, bool framed)
-      : next_(next), aligned_(!framed) {}
-
-  Status Consume(const StreamEvent& event) override {
-    if (!aligned_) {
-      if (event.kind != EventKind::kFrameBegin &&
-          event.kind != EventKind::kStreamEnd) {
-        return Status::OK();
-      }
-      aligned_ = true;
-    }
-    return next_->Consume(event);
-  }
-
- private:
-  EventSink* next_;
-  bool aligned_;
-};
-
-}  // namespace
-
 /// The ingest boundary (Fig. 3's arrow from the stream generator into
-/// the server). Every event takes the server's state lock in shared
-/// mode, so producers and the control plane (network sessions
-/// registering queries) can run concurrently; with
-/// verify_ingest_checksums on, a batch whose attached FNV-1a digest
-/// does not match its content is dead-lettered here — it never enters
-/// any query chain, and the producer keeps streaming.
+/// the server), and the sink of every plan that feeds a stream. Every
+/// event takes the server's state lock in shared mode, so producers
+/// and the control plane (network sessions registering queries) can
+/// run concurrently; with verify_ingest_checksums on, a batch whose
+/// attached FNV-1a digest does not match its content is dead-lettered
+/// here — it never enters any query chain, and the producer keeps
+/// streaming. The fan-out only enqueues into plan pipelines; with no
+/// worker threads this call then runs them, after the lock is
+/// released, so a single-threaded producer sees every frame delivered
+/// before Consume returns.
 class DsmsServer::GuardedIngestSink : public EventSink {
  public:
   GuardedIngestSink(DsmsServer* server, SourceState* source)
       : server_(server), source_(source) {}
 
   Status Consume(const StreamEvent& event) override {
-    std::shared_lock<std::shared_mutex> lock(server_->state_mu_);
+    Status st;
+    {
+      std::shared_lock<std::shared_mutex> lock(server_->state_mu_);
+      st = ConsumeLocked(event);
+    }
+    server_->scheduler_->RunPending();
+    return st;
+  }
+
+ private:
+  Status ConsumeLocked(const StreamEvent& event) {
     if (source_->hidden) {
-      // A shared node's plan output on a worker thread. Operators emit
-      // fresh events, so hand the trace active on this worker to the
-      // consumer pipelines (the scheduler forks it at enqueue, before
-      // this call returns, so a non-owning pointer suffices).
+      // A shared node's plan output, in the node's pipeline. Operators
+      // emit fresh events, so hand the trace active on this thread to
+      // the consumer pipelines (the scheduler forks it at enqueue,
+      // before this call returns, so a non-owning pointer suffices).
       TraceContext* active = ActiveTrace();
       if (event.trace != nullptr || active == nullptr) {
         return source_->Consume(event);
@@ -300,14 +302,9 @@ class DsmsServer::GuardedIngestSink : public EventSink {
     return st;
   }
 
- private:
   /// Delivers one sampled batch with a fresh TraceContext attached.
-  /// With a worker pool the context just rides the event — the
-  /// scheduler forks it per pipeline at enqueue and does all the
-  /// timing. Synchronously the whole fan-out runs right here on the
-  /// ingest thread, so activate the trace around it and push the
-  /// record into the server-wide inline ring (spans of all queries
-  /// appear in one record — they really did run as one chain).
+  /// The context just rides the event: the scheduler forks it per
+  /// pipeline at enqueue and does all the timing.
   Status ConsumeTraced(const StreamEvent& event) {
     StreamEvent traced = event;
     traced.trace = std::make_shared<TraceContext>(
@@ -316,37 +313,7 @@ class DsmsServer::GuardedIngestSink : public EventSink {
     traced.trace->SetIngestAnchors(event.anchors.capture_wall_us,
                                    event.anchors.admit_wall_us,
                                    event.anchors.durable_wall_us);
-    if (server_->scheduler_) return source_->Consume(traced);
-    TraceContext* trace = traced.trace.get();
-    if (server_->inline_traces_) {
-      // Reserve the ring slot up front so exemplar observations made
-      // during this delivery carry the ordinal TRACE answers to.
-      trace->set_ring_ordinal(server_->inline_traces_->Reserve());
-    }
-    if (event.kind == EventKind::kFrameEnd &&
-        trace->last_anchor_wall_us() != 0) {
-      // Ingest-side stages come straight from the anchors; without a
-      // worker pool there is no queue stage, so the chain continues
-      // from the seeded anchor into the delivery callback's
-      // `operators` segment.
-      const uint64_t capture = trace->capture_wall_us();
-      const uint64_t admit = trace->admit_wall_us();
-      const uint64_t durable = trace->durable_wall_us();
-      if (capture != 0 && admit > capture) {
-        ObserveE2eStage(&server_->metrics_registry_, "send", "source",
-                        source_->desc.name(), admit - capture, trace);
-      }
-      if (admit != 0 && durable > admit) {
-        ObserveE2eStage(&server_->metrics_registry_, "journal", "source",
-                        source_->desc.name(), durable - admit, trace);
-      }
-    }
-    ScopedTraceActivation activate(trace);
-    Status st = source_->Consume(traced);
-    if (st.ok() && server_->inline_traces_) {
-      server_->inline_traces_->PushReserved(trace->Finish());
-    }
-    return st;
+    return source_->Consume(traced);
   }
 
   DsmsServer* server_;
@@ -367,9 +334,10 @@ struct DsmsServer::Edge {
   std::optional<BoundingBox> hint;
   /// Consuming node (null = a query's private plan).
   SharedNode* owner = nullptr;
-  /// The consumer plan's entry for this input (scheduler-wrapped with
-  /// a worker pool; a CatchUpGate once a catch-up query goes live).
+  /// The consumer plan's entry for this input: `isolated`, or a
+  /// CatchUpGate in front of it once a catch-up query goes live.
   EventSink* entry = nullptr;
+  std::unique_ptr<IsolatedEntrySink> isolated;
   /// Temporal IO-pruning hints for the catch-up replay.
   std::vector<TimeSet> times;
   /// Routing state: attached at `from` as cascade registration
@@ -379,6 +347,17 @@ struct DsmsServer::Edge {
   QueryId index_id = 0;
   std::optional<BoundingBox> bound;
   RegionPtr routed;
+
+  /// Enters plan input `input` through scheduler pipeline `pipeline`,
+  /// starting at a frame boundary when `align` is set.
+  void Wire(QueryScheduler* scheduler, size_t pipeline, EventSink* input,
+            bool align) {
+    isolated = std::make_unique<IsolatedEntrySink>(
+        scheduler->AddPipelineInput(pipeline, input),
+        align &&
+            from->desc.organization() != PointOrganization::kPointByPoint);
+    entry = isolated.get();
+  }
 };
 
 /// A hash-consed compute operator: one plan over its input edges whose
@@ -391,8 +370,6 @@ struct DsmsServer::SharedNode {
   std::unique_ptr<SourceState> stream;
   std::unique_ptr<ExecutablePlan> plan;
   std::vector<std::unique_ptr<Edge>> inputs;
-  std::vector<std::unique_ptr<IsolatedEntrySink>> isolated;
-  std::vector<std::unique_ptr<FrameAlignedSink>> aligned;
   size_t sched_pipeline = SIZE_MAX;
   /// Edges reading this node (its refcount).
   std::vector<Edge*> consumers;
@@ -449,12 +426,8 @@ struct DsmsServer::QueryState {
   std::unique_ptr<DeliveryOp> delivery;
   NullSink null_sink;
   std::unique_ptr<ExecutablePlan> plan;
-  /// Isolation wrappers around the scheduler entry sinks (empty when
-  /// the server is synchronous).
-  std::vector<std::unique_ptr<IsolatedEntrySink>> isolated;
-  /// Scheduler pipeline id when the server runs a worker pool; all of
-  /// the plan's inputs share this pipeline so one worker at a time
-  /// drives the plan.
+  /// Scheduler pipeline id; all of the plan's inputs share this
+  /// pipeline so one thread at a time drives the plan.
   size_t sched_pipeline = SIZE_MAX;
 
   bool is_derived = false;
@@ -544,7 +517,6 @@ std::string DemandText(const std::optional<BoundingBox>& demand) {
 DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
   event_log_ = std::make_unique<EventLog>(options_.event_log_capacity);
   event_log_->Append(EventSeverity::kInfo, "server", "start", "");
-  inline_traces_ = std::make_unique<TraceRing>(options_.trace_ring_capacity);
   if (!options_.journal_dir.empty() || !options_.store_dir.empty()) {
     // One governor watches the whole storage plane: both subsystems
     // admit writes through it, and either one's ENOSPC/EIO degrades
@@ -643,30 +615,24 @@ DsmsServer::DsmsServer(DsmsOptions options) : options_(options) {
           "cut over to the live stream (summed over registrations)");
     }
   }
-  if (options_.workers > 0) {
-    SchedulerOptions sched;
-    sched.policy = options_.worker_policy;
-    sched.queue_capacity = options_.worker_queue_capacity;
-    sched.workers = options_.workers;
-    sched.supervisor = options_.worker_supervisor;
-    sched.dead_letter_capacity = options_.dead_letter_capacity;
-    sched.dead_letter_max_bytes = options_.dead_letter_max_bytes;
-    sched.memory = &memory_;
-    sched.metrics = &metrics_registry_;
-    sched.trace_ring_capacity = options_.trace_ring_capacity;
-    sched.event_log = event_log_.get();
-    scheduler_ = std::make_unique<QueryScheduler>(sched);
-    Status st = scheduler_->Start();
-    if (!st.ok()) {
-      GEOSTREAMS_LOG(kError) << "worker pool failed to start: "
-                             << st.ToString();
-      scheduler_.reset();
-    } else {
-      GEOSTREAMS_LOG(kInfo) << "query worker pool: "
-                            << scheduler_->num_workers() << " threads, "
-                            << SchedulingPolicyName(sched.policy);
-    }
-  }
+  SchedulerOptions sched;
+  sched.policy = options_.worker_policy;
+  sched.queue_capacity = options_.worker_queue_capacity;
+  sched.workers = options_.workers;
+  sched.supervisor = options_.worker_supervisor;
+  sched.dead_letter_capacity = options_.dead_letter_capacity;
+  sched.dead_letter_max_bytes = options_.dead_letter_max_bytes;
+  sched.memory = &memory_;
+  sched.metrics = &metrics_registry_;
+  sched.trace_ring_capacity = options_.trace_ring_capacity;
+  sched.event_log = event_log_.get();
+  scheduler_ = std::make_unique<QueryScheduler>(sched);
+  // Start() only fails on a second call.
+  Status started = scheduler_->Start();
+  (void)started;
+  GEOSTREAMS_LOG(kInfo) << "query scheduler: " << scheduler_->num_workers()
+                        << " worker threads (0 = callers run the work), "
+                        << SchedulingPolicyName(sched.policy);
   RegisterCollectors();
 }
 
@@ -694,7 +660,7 @@ void DsmsServer::RegisterCollectors() {
                                      "Events accepted into pipeline queues");
   Counter* processed = reg.GetCounter(
       "geostreams_scheduler_processed_total",
-      "Events delivered through operator chains by the worker pool");
+      "Events delivered through operator chains by the scheduler");
   Counter* shed = reg.GetCounter(
       "geostreams_scheduler_shed_total",
       "Point batches shed because a pipeline queue was full");
@@ -729,18 +695,16 @@ void DsmsServer::RegisterCollectors() {
       reg.GetCounter("geostreams_ingest_checksum_failures_total",
                      "Corrupt batches rejected at the ingest boundary");
   reg.AddCollector([=, this] {
-    if (scheduler_) {
-      const ScheduledQueueStats total = scheduler_->AggregateStats();
-      enqueued->Set(total.enqueued);
-      processed->Set(total.processed);
-      shed->Set(total.dropped);
-      control_overflow->Set(total.control_overflow);
-      rejected->Set(total.rejected);
-      discarded->Set(total.discarded);
-      restarts->Set(total.restarts);
-      dead_letters->Set(total.dead_letters);
-      queued->Set(total.queued);
-    }
+    const ScheduledQueueStats total = scheduler_->AggregateStats();
+    enqueued->Set(total.enqueued);
+    processed->Set(total.processed);
+    shed->Set(total.dropped);
+    control_overflow->Set(total.control_overflow);
+    rejected->Set(total.rejected);
+    discarded->Set(total.discarded);
+    restarts->Set(total.restarts);
+    dead_letters->Set(total.dead_letters);
+    queued->Set(total.queued);
     uint64_t n_queries = 0, n_degraded = 0, n_quarantined = 0;
     {
       std::shared_lock<std::shared_mutex> lock(state_mu_);
@@ -753,14 +717,11 @@ void DsmsServer::RegisterCollectors() {
         source->freshness_gauge->Set(
             stamp != 0 && now > stamp ? now - stamp : 0);
       }
-      if (scheduler_) {
-        for (const auto& [id, query] : queries_) {
-          if (query->sched_pipeline == SIZE_MAX) continue;
-          switch (scheduler_->Health(query->sched_pipeline)) {
-            case PipelineHealth::kDegraded: ++n_degraded; break;
-            case PipelineHealth::kQuarantined: ++n_quarantined; break;
-            default: break;
-          }
+      for (const auto& [id, query] : queries_) {
+        switch (scheduler_->Health(query->sched_pipeline)) {
+          case PipelineHealth::kDegraded: ++n_degraded; break;
+          case PipelineHealth::kQuarantined: ++n_quarantined; break;
+          default: break;
         }
       }
     }
@@ -774,10 +735,8 @@ void DsmsServer::RegisterCollectors() {
 }
 
 DsmsServer::~DsmsServer() {
-  if (scheduler_) {
-    Status ignored = scheduler_->Stop();
-    (void)ignored;
-  }
+  Status ignored = scheduler_->Stop();
+  (void)ignored;
 }
 
 Status DsmsServer::RegisterStream(const GeoStreamDescriptor& desc) {
@@ -969,25 +928,20 @@ Result<DsmsServer::SharedNode*> DsmsServer::InternLocked(
     leaf->analyzed = true;
     (i == 0 ? plan_expr->child : plan_expr->right) = leaf;
   }
-  // With a worker pool the node runs on a worker, so its fan-out takes
-  // the state lock itself (via the guard), exactly like a derived
-  // view; synchronously it already runs under the ingest call's lock.
-  EventSink* plan_sink =
-      scheduler_ ? static_cast<EventSink*>(node->stream->guard.get())
-                 : static_cast<EventSink*>(node->stream.get());
+  // The node runs in its own pipeline and feeds its stream through
+  // the guard, exactly like a derived view.
   GEOSTREAMS_ASSIGN_OR_RETURN(
-      node->plan, BuildPlan(plan_expr, plan_sink, &memory_, prefix + ".op"));
+      node->plan, BuildPlan(plan_expr, node->stream->guard.get(), &memory_,
+                            prefix + ".op"));
   for (const auto& op : node->plan->operators()) {
     op->BindLatencyHistogram(metrics_registry_.GetHistogram(
         "geostreams_operator_latency_us", kOperatorLatencyHelp,
         {{"op", OpKindLabel(op->name())}}));
   }
-  if (scheduler_) {
-    node->sched_pipeline = scheduler_->AddPipelineGroup(prefix);
-    ExecutablePlan* plan = node->plan.get();
-    scheduler_->SetPipelineReset(node->sched_pipeline,
-                                 [plan] { plan->Reset(); });
-  }
+  node->sched_pipeline = scheduler_->AddPipelineGroup(prefix);
+  ExecutablePlan* plan = node->plan.get();
+  scheduler_->SetPipelineReset(node->sched_pipeline,
+                               [plan] { plan->Reset(); });
   for (size_t i = 0; i < spec.inputs.size(); ++i) {
     auto edge = std::make_unique<Edge>();
     const Handle& in = spec.inputs[i];
@@ -995,17 +949,8 @@ Result<DsmsServer::SharedNode*> DsmsServer::InternLocked(
     edge->from = input_nodes[i] ? input_nodes[i]->stream.get() : in.source;
     edge->region = in.region;
     edge->owner = node.get();
-    edge->entry = node->plan->input(input_names[i]);
-    if (scheduler_) {
-      edge->entry =
-          scheduler_->AddPipelineInput(node->sched_pipeline, edge->entry);
-      node->isolated.push_back(std::make_unique<IsolatedEntrySink>(edge->entry));
-      edge->entry = node->isolated.back().get();
-    }
-    node->aligned.push_back(std::make_unique<FrameAlignedSink>(
-        edge->entry, edge->from->desc.organization() !=
-                         PointOrganization::kPointByPoint));
-    edge->entry = node->aligned.back().get();
+    edge->Wire(scheduler_.get(), node->sched_pipeline,
+               node->plan->input(input_names[i]), /*align=*/true);
     // Routed by the next RefreshDemandLocked, once the node's demand
     // is known.
     if (edge->from_node) edge->from_node->consumers.push_back(edge.get());
@@ -1117,10 +1062,8 @@ Status DsmsServer::RefreshDemandLocked() {
 Status DsmsServer::Bury(Graveyard* graveyard) {
   Status status = Status::OK();
   for (auto& node : *graveyard) {
-    if (scheduler_ && node->sched_pipeline != SIZE_MAX) {
-      Status st = scheduler_->RemovePipeline(node->sched_pipeline);
-      if (status.ok()) status = st;
-    }
+    Status st = scheduler_->RemovePipeline(node->sched_pipeline);
+    if (status.ok()) status = st;
   }
   graveyard->clear();
   return status;
@@ -1175,8 +1118,9 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
   // flowing (the query is invisible to it) while recorded frames run
   // through the plan on this thread, merged ascending by frame id
   // across inputs so multi-stream plans see their operands in live
-  // order. Flush periodically so a deep history cannot overflow the
-  // scheduler queues (shed batches would be gaps).
+  // order. Each frame is drained at once when callers run the work,
+  // and the pool is flushed periodically, so a deep history cannot
+  // overflow the scheduler queues (shed batches would be gaps).
   struct ReplayItem {
     int64_t frame_id;
     size_t wire;
@@ -1238,6 +1182,7 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
     const Edge& wire = *wires[item.wire];
     Status st = store_->ScanFrame(wire_source(wire), item.frame_id,
                                   wire_scan(wire), wire.entry);
+    scheduler_->RunPending();
     if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
     replayed_to[item.wire] = item.frame_id;
     if (m_catchup_frames_) m_catchup_frames_->Increment();
@@ -1275,9 +1220,10 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
             : replayed_to[w] + 1;
     if (lo <= w0) {
       for (int64_t fid : store_->FrameIds(source_name, lo, w0)) {
-        // Inline, no Flush: the delta is bounded by one phase-1 flush
-        // window, and WaitIdle here would deadlock against workers
-        // taking the shared lock to feed derived streams.
+        // No Flush: the delta is bounded by one phase-1 flush window,
+        // and WaitIdle here would deadlock against plans taking the
+        // shared lock to feed derived streams. Drained after the lock
+        // drops.
         Status st = store_->ScanFrame(source_name, fid, wire_scan(wire),
                                       wire.entry);
         if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
@@ -1321,6 +1267,8 @@ Result<QueryId> DsmsServer::RegisterQuery(const std::string& query_text,
                    static_cast<unsigned long long>(TraceWallNowUs())));
   return Status::OK();
   }();
+  // Callers run the seam delta now that the state lock is released.
+  scheduler_->RunPending();
   if (catchup_pending != 0) {
     // Error exit mid-replay: retire this registration's remaining
     // backlog so the gauge drains instead of freezing nonzero.
@@ -1408,13 +1356,9 @@ Result<QueryId> DsmsServer::RegisterInternal(
         options_.dead_letter_capacity, options_.dead_letter_max_bytes);
     source->boundary_dead_letters->BindMemoryTracker(&memory_,
                                                      "dlq." + derived_name);
-    // With a worker pool the backing plan runs on a worker thread, so
-    // the view's fan-out must take the state lock itself (via the
-    // guard). Synchronously (workers = 0) the plan already runs under
-    // the ingest call's shared lock — re-locking here would be a
-    // recursive shared_mutex acquisition (UB), so feed the source raw.
-    plan_sink = scheduler_ ? static_cast<EventSink*>(source->guard.get())
-                           : static_cast<EventSink*>(source.get());
+    // The backing plan runs in its own pipeline, outside the state
+    // lock, so the view's fan-out takes the lock itself via the guard.
+    plan_sink = source->guard.get();
     sources_.emplace(derived_name, std::move(source));
   }
 
@@ -1453,10 +1397,23 @@ Result<QueryId> DsmsServer::RegisterInternal(
   }
 
   // Wire plan inputs to their streams (through the stream's index
-  // when restricted, directly otherwise). With a worker pool, every
-  // plan input is wrapped in a scheduler entry for the query's single
-  // pipeline: sources enqueue cheaply, and the plan itself runs on
-  // whichever worker claims the pipeline.
+  // when restricted, directly otherwise). Every plan input enters the
+  // query's single scheduler pipeline: sources enqueue cheaply, and
+  // the plan itself runs on whichever thread claims the pipeline.
+  query->sched_pipeline = scheduler_->AddPipelineGroup(
+      StringPrintf("q%lld", static_cast<long long>(id)));
+  {
+    // The delivery operator sits downstream of the plan (it is the
+    // plan's sink, not one of its ops), so its assembler must be reset
+    // explicitly or a restart would resume into a frame left open by
+    // the fault (null for derived streams).
+    ExecutablePlan* plan = query->plan.get();
+    DeliveryOp* delivery = query->delivery.get();
+    scheduler_->SetPipelineReset(query->sched_pipeline, [plan, delivery] {
+      plan->Reset();
+      if (delivery) delivery->Reset();
+    });
+  }
   Graveyard graveyard;
   Status wired = [&]() -> Status {
     for (const PlanInput& input : plan_inputs) {
@@ -1474,29 +1431,9 @@ Result<QueryId> DsmsServer::RegisterInternal(
       }
       Edge* raw = edge.get();
       query->inputs.push_back(std::move(edge));
-      raw->entry = query->plan->input(input.name);
-      if (scheduler_) {
-        if (query->sched_pipeline == SIZE_MAX) {
-          query->sched_pipeline = scheduler_->AddPipelineGroup(
-              StringPrintf("q%lld", static_cast<long long>(id)));
-          // The delivery operator sits downstream of the plan (it is
-          // the plan's sink, not one of its ops), so its assembler must
-          // be reset explicitly or a restart would resume into a frame
-          // left open by the fault (null for derived streams).
-          ExecutablePlan* plan = query->plan.get();
-          DeliveryOp* delivery = query->delivery.get();
-          scheduler_->SetPipelineReset(query->sched_pipeline,
-                                       [plan, delivery] {
-                                         plan->Reset();
-                                         if (delivery) delivery->Reset();
-                                       });
-        }
-        raw->entry =
-            scheduler_->AddPipelineInput(query->sched_pipeline, raw->entry);
-        query->isolated.push_back(
-            std::make_unique<IsolatedEntrySink>(raw->entry));
-        raw->entry = query->isolated.back().get();
-      }
+      // A catch-up input's gate owns the seam into the live stream.
+      raw->Wire(scheduler_.get(), query->sched_pipeline,
+                query->plan->input(input.name), /*align=*/!defer_wiring);
       if (!defer_wiring) {
         GEOSTREAMS_RETURN_IF_ERROR(RouteEdgeLocked(raw, raw->hint));
       }
@@ -1517,9 +1454,7 @@ Result<QueryId> DsmsServer::RegisterInternal(
     }
     Status ignored = Bury(&graveyard);
     (void)ignored;
-    if (scheduler_ && query->sched_pipeline != SIZE_MAX) {
-      ignored = scheduler_->RemovePipeline(query->sched_pipeline);
-    }
+    ignored = scheduler_->RemovePipeline(query->sched_pipeline);
     return wired;
   }
   // Subscribers: every node this query reads, once each.
@@ -1588,21 +1523,19 @@ Status DsmsServer::UnregisterQuery(QueryId id) {
     status = RefreshDemandLocked();
     pipeline = query.sched_pipeline;
   }
-  if (scheduler_ && pipeline != SIZE_MAX) {
-    // The query is detached from every source; remove its queue and
-    // entry sinks before the plan they target is destroyed. Still-
-    // queued events are discarded — the client is gone. This waits
-    // for any in-flight event, so it must run with the state lock
-    // RELEASED: the worker mid-event may be taking the shared lock to
-    // feed a derived stream (see state_mu_'s comment). The query is
-    // already invisible to new producers (`unregistering` + detached
-    // sources), so nothing re-wires it while we wait.
-    Status removed = scheduler_->RemovePipeline(pipeline);
-    if (!removed.ok()) {
-      Status ignored = Bury(&graveyard);
-      (void)ignored;
-      return removed;
-    }
+  // The query is detached from every source; remove its queue and
+  // entry sinks before the plan they target is destroyed. Still-queued
+  // events are discarded — the client is gone. This waits for any
+  // in-flight event, so it must run with the state lock RELEASED: the
+  // thread mid-event may be taking the shared lock to feed a derived
+  // stream (see state_mu_'s comment). The query is already invisible
+  // to new producers (`unregistering` + detached sources), so nothing
+  // re-wires it while we wait.
+  Status removed = scheduler_->RemovePipeline(pipeline);
+  if (!removed.ok()) {
+    Status ignored = Bury(&graveyard);
+    (void)ignored;
+    return removed;
   }
   // Retired shared nodes go the same way, for the same reason.
   Status buried = Bury(&graveyard);
@@ -1626,10 +1559,6 @@ Status DsmsServer::RestartQuery(QueryId id) {
       pipelines.push_back(node->sched_pipeline);
     }
   }
-  if (!scheduler_ || pipelines.front() == SIZE_MAX) {
-    // Synchronous server: no supervisor, nothing quarantines.
-    return Status::OK();
-  }
   // RestartPipeline waits for the pipeline's in-flight event; run it
   // with the state lock released (same reasoning as UnregisterQuery).
   // Shared nodes restart too (a no-op while they run): a quarantined
@@ -1647,9 +1576,6 @@ Result<std::vector<DeadLetter>> DsmsServer::DeadLetters(QueryId id) const {
   if (it == queries_.end()) {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
-  }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    return std::vector<DeadLetter>{};
   }
   return scheduler_->DeadLetters(it->second->sched_pipeline);
 }
@@ -1745,9 +1671,6 @@ Result<PipelineHealth> DsmsServer::QueryHealth(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    return PipelineHealth::kRunning;
-  }
   PipelineHealth worst = scheduler_->Health(it->second->sched_pipeline);
   for (const SharedNode* node : it->second->nodes) {
     worst = std::max(worst, scheduler_->Health(node->sched_pipeline));
@@ -1761,9 +1684,6 @@ Status DsmsServer::QueryError(QueryId id) const {
   if (it == queries_.end()) {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
-  }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    return Status::OK();
   }
   Status error = scheduler_->PipelineError(it->second->sched_pipeline);
   for (const SharedNode* node : it->second->nodes) {
@@ -1790,10 +1710,7 @@ size_t DsmsServer::num_restriction_entries() const {
   return total;
 }
 
-Status DsmsServer::Flush() {
-  if (!scheduler_) return Status::OK();
-  return scheduler_->WaitIdle();
-}
+Status DsmsServer::Flush() { return scheduler_->WaitIdle(); }
 
 EventSink* DsmsServer::ingest(const std::string& name) {
   std::shared_lock<std::shared_mutex> lock(state_mu_);
@@ -1877,20 +1794,14 @@ Result<TraceRing::Snapshot> DsmsServer::QueryTraces(QueryId id) const {
     return Status::NotFound(StringPrintf(
         "query %lld not registered", static_cast<long long>(id)));
   }
-  if (!scheduler_ || it->second->sched_pipeline == SIZE_MAX) {
-    // Synchronous server: every query runs on the shared ingest chain.
-    return inline_traces_ ? inline_traces_->TakeSnapshot()
-                          : TraceRing::Snapshot{};
-  }
-  // Safe lock order: workers never hold the scheduler mutex while
+  // Safe lock order: pipelines never hold the scheduler mutex while
   // taking state_mu_ (they release it around Consume), so querying the
   // scheduler under the shared state lock cannot deadlock.
   return scheduler_->Traces(it->second->sched_pipeline);
 }
 
 std::string DsmsServer::SummaryLine() const {
-  ScheduledQueueStats total;
-  if (scheduler_) total = scheduler_->AggregateStats();
+  const ScheduledQueueStats total = scheduler_->AggregateStats();
   size_t n_queries = 0;
   uint64_t worst_freshness_us = 0;  // max frame age across live sources
   uint64_t worst_e2e_p95_us = 0;    // max per-source total-latency p95
@@ -1925,8 +1836,7 @@ std::string DsmsServer::SummaryLine() const {
       static_cast<unsigned long long>(memory_.TotalBytes()),
       static_cast<unsigned long long>(memory_.HighWaterBytes()),
       static_cast<unsigned long long>(IngestChecksumFailures()),
-      static_cast<unsigned long long>(
-          total.traces + (inline_traces_ ? inline_traces_->total() : 0)));
+      static_cast<unsigned long long>(total.traces));
   line += StringPrintf(" freshness_us=%llu e2e_p95_us=%llu",
                        static_cast<unsigned long long>(worst_freshness_us),
                        static_cast<unsigned long long>(worst_e2e_p95_us));

@@ -75,7 +75,7 @@ class Operator {
   explicit Operator(std::string name) : name_(std::move(name)) {}
   /// Leaves the bound memory tracker (which must outlive the operator).
   virtual ~Operator() {
-    if (tracker_) tracker_->Remove(name_);
+    if (tracker_) tracker_->Remove(tracker_key_);
   }
 
   Operator(const Operator&) = delete;
@@ -97,8 +97,11 @@ class Operator {
 
   /// Binds the output; must be called before events arrive.
   void BindOutput(EventSink* out) { out_ = out; }
-  /// Optional memory tracker for buffering reports.
-  void BindMemoryTracker(MemoryTracker* tracker) { tracker_ = tracker; }
+  /// Optional memory tracker for buffering reports. The figure is
+  /// keyed by the name plus a process-unique suffix: every private
+  /// plan names its operators `op1.<kind>`, `op2.<kind>`…, and two
+  /// plans must not overwrite each other's bytes.
+  void BindMemoryTracker(MemoryTracker* tracker);
   /// Optional latency histogram (labeled by operator kind in the
   /// registry): receives this operator's exclusive microseconds for
   /// every *traced* delivery. Untraced events never observe.
@@ -132,7 +135,7 @@ class Operator {
 
   void ReportBuffered(uint64_t bytes) {
     metrics_.SetBuffered(bytes);
-    if (tracker_) tracker_->Update(name_, bytes);
+    if (tracker_) tracker_->Update(tracker_key_, bytes);
   }
 
   /// Span wrapper used by the Consume shims below: times `Process`
@@ -151,6 +154,7 @@ class Operator {
   std::string name_;
   EventSink* out_ = nullptr;
   MemoryTracker* tracker_ = nullptr;
+  std::string tracker_key_;
   MetricHistogram* latency_histogram_ = nullptr;
   OperatorMetrics metrics_;
 };

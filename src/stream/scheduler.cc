@@ -9,6 +9,15 @@
 
 namespace geostreams {
 
+namespace {
+
+/// The worker-less scheduler this thread is draining, if any: a nested
+/// RunPending (an operator's output re-entering the server's ingest
+/// boundary) only enqueues, and the outer drain picks its events up.
+thread_local const QueryScheduler* t_draining = nullptr;
+
+}  // namespace
+
 const char* SchedulingPolicyName(SchedulingPolicy policy) {
   switch (policy) {
     case SchedulingPolicy::kRoundRobin:
@@ -54,10 +63,6 @@ struct QueryScheduler::Queue {
 
 QueryScheduler::QueryScheduler(SchedulerOptions options)
     : options_(options), supervisor_(options.supervisor) {
-  resolved_workers_ = options_.workers;
-  if (resolved_workers_ == 0) {
-    resolved_workers_ = std::max(1u, std::thread::hardware_concurrency());
-  }
   if (options_.metrics != nullptr) {
     queue_wait_hist_ = options_.metrics->GetHistogram(
         "geostreams_scheduler_queue_wait_us",
@@ -153,8 +158,8 @@ Status QueryScheduler::Start() {
   if (started_) return Status::FailedPrecondition("scheduler running");
   started_ = true;
   stopping_ = false;
-  workers_.reserve(resolved_workers_);
-  for (size_t i = 0; i < resolved_workers_; ++i) {
+  workers_.reserve(options_.workers);
+  for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
@@ -162,8 +167,11 @@ Status QueryScheduler::Start() {
 
 Status QueryScheduler::Stop() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     if (!started_) return Status::OK();
+    if (options_.workers == 0 && t_draining != this) {
+      DrainOnCallerLocked(lock, /*until_idle=*/true);
+    }
     stopping_ = true;
   }
   work_available_.notify_all();
@@ -179,10 +187,43 @@ Status QueryScheduler::Stop() {
 
 Status QueryScheduler::WaitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
+  if (options_.workers == 0) {
+    // Inside a drain of this scheduler the caller's own claim keeps it
+    // busy, so there is nothing it could wait for.
+    if (t_draining != this) DrainOnCallerLocked(lock, /*until_idle=*/true);
+    return Status::OK();
+  }
   idle_.wait(lock, [this] {
     return !started_ || (busy_count_ == 0 && AllQueuesEmptyLocked());
   });
   return Status::OK();
+}
+
+void QueryScheduler::RunPending() {
+  if (options_.workers != 0 || t_draining == this) return;
+  std::unique_lock<std::mutex> lock(mutex_);
+  DrainOnCallerLocked(lock, /*until_idle=*/false);
+}
+
+void QueryScheduler::DrainOnCallerLocked(std::unique_lock<std::mutex>& lock,
+                                         bool until_idle) {
+  const QueryScheduler* outer = t_draining;
+  t_draining = this;
+  while (started_) {
+    const int index = SelectQueueLocked(Clock::now());
+    if (index >= 0) {
+      RunClaimedLocked(lock, static_cast<size_t>(index));
+      continue;
+    }
+    if (!until_idle || (busy_count_ == 0 && AllQueuesEmptyLocked())) break;
+    // What is left is in backoff or claimed by another thread.
+    if (const auto deadline = EarliestRetryLocked()) {
+      idle_.wait_until(lock, *deadline);
+    } else {
+      idle_.wait(lock);
+    }
+  }
+  t_draining = outer;
 }
 
 Status QueryScheduler::Enqueue(size_t index, EventSink* downstream,
@@ -233,7 +274,11 @@ Status QueryScheduler::Enqueue(size_t index, EventSink* downstream,
       queue_depth_hist_->Observe(queue.events.size());
     }
   }
-  work_available_.notify_one();
+  if (options_.workers == 0) {
+    idle_.notify_all();
+  } else {
+    work_available_.notify_one();
+  }
   return Status::OK();
 }
 
@@ -381,88 +426,95 @@ void QueryScheduler::WorkerLoop() {
       }
       continue;
     }
-    Queue& queue = *queues_[static_cast<size_t>(index)];
-    AdvanceCursorLocked(static_cast<size_t>(index));
-    queue.busy = true;
-    queue.retry_pending = false;
-    ++busy_count_;
-    Item item = std::move(queue.events.front());
-    queue.events.pop_front();
-    lock.unlock();
-    // The claim invariant makes this call single-threaded per
-    // pipeline; the mutex acquire/release around claim and release
-    // orders operator state (incl. OperatorMetrics) across workers.
-    Status st;
-    TraceContext* trace = item.event.trace.get();
-    if (trace == nullptr) {
-      st = item.downstream->Consume(item.event);
-    } else {
-      uint64_t wait_us = trace->MarkDequeued();
-      if (queue_wait_hist_ != nullptr) queue_wait_hist_->Observe(wait_us);
-      // Reserve the ring slot before the chain runs so exemplar
-      // observations made during delivery (operator spans, e2e
-      // stages) can carry the ordinal `TRACE` will answer to. The
-      // claim invariant keeps per-pipeline reservations ordered.
-      if (queue.traces && trace->ring_ordinal() == TraceContext::kNoRingOrdinal) {
-        trace->set_ring_ordinal(queue.traces->Reserve());
-      }
-      // Frame-lifecycle stages up to the claim: `send` and `journal`
-      // come straight from the ingest anchors, observed once per
-      // frame — only the fork that owns the per-source stages (the
-      // first of a fan-out) reports them, and only while its chain
-      // still sits at the seeded anchor (a retried event has advanced
-      // past it). `queue` closes at the claim itself and is
-      // per-pipeline. Only FrameEnd events are staged so per-stage
-      // sums partition the frame's end-to-end latency.
-      if (item.event.kind == EventKind::kFrameEnd &&
-          trace->last_anchor_wall_us() != 0 && options_.metrics != nullptr) {
-        const uint64_t capture = trace->capture_wall_us();
-        const uint64_t admit = trace->admit_wall_us();
-        const uint64_t durable = trace->durable_wall_us();
-        const uint64_t seeded = durable ? durable : (admit ? admit : capture);
-        if (trace->observes_source_stages() &&
-            trace->last_anchor_wall_us() == seeded) {
-          if (capture != 0 && admit > capture) {
-            ObserveE2eStage(options_.metrics, "send", "source",
-                            trace->origin(), admit - capture, trace);
-          }
-          if (admit != 0 && durable > admit) {
-            ObserveE2eStage(options_.metrics, "journal", "source",
-                            trace->origin(), durable - admit, trace);
-          }
-        }
-        ObserveE2eStage(options_.metrics, "queue", "query", queue.name,
-                        trace->AdvanceStage(TraceWallNowUs()), trace);
-      }
-      // Activate for the chain: operators emit fresh events, so they
-      // read the trace from the thread-local, not the event.
-      ScopedTraceActivation activate(trace);
-      st = item.downstream->Consume(item.event);
-    }
-    if (st.ok() && trace != nullptr && queue.traces) {
-      // Claim still held, so `queue` cannot be removed under us; the
-      // ring is internally synchronized. Failed deliveries are not
-      // recorded — a retry would append a second set of spans (the
-      // reserved ordinal then stays a gap in the ring).
-      if (trace->ring_ordinal() != TraceContext::kNoRingOrdinal) {
-        queue.traces->PushReserved(trace->Finish());
-      } else {
-        queue.traces->Push(trace->Finish());
-      }
-    }
-    lock.lock();
-    if (st.ok()) {
-      ++queue.stats.processed;
-      queue.attempts = 0;
-    } else {
-      HandleFailureLocked(lock, queue, std::move(item), st);
-    }
-    queue.busy = false;
-    --busy_count_;
-    if (removals_waiting_ > 0) idle_.notify_all();
-    if (!queue.events.empty()) work_available_.notify_one();
-    if (busy_count_ == 0 && AllQueuesEmptyLocked()) idle_.notify_all();
+    RunClaimedLocked(lock, static_cast<size_t>(index));
   }
+}
+
+void QueryScheduler::RunClaimedLocked(std::unique_lock<std::mutex>& lock,
+                                      size_t index) {
+  Queue& queue = *queues_[index];
+  AdvanceCursorLocked(index);
+  queue.busy = true;
+  queue.retry_pending = false;
+  ++busy_count_;
+  Item item = std::move(queue.events.front());
+  queue.events.pop_front();
+  lock.unlock();
+  // The claim invariant makes this call single-threaded per
+  // pipeline; the mutex acquire/release around claim and release
+  // orders operator state (incl. OperatorMetrics) across workers.
+  Status st;
+  TraceContext* trace = item.event.trace.get();
+  if (trace == nullptr) {
+    st = item.downstream->Consume(item.event);
+  } else {
+    uint64_t wait_us = trace->MarkDequeued();
+    if (queue_wait_hist_ != nullptr) queue_wait_hist_->Observe(wait_us);
+    // Reserve the ring slot before the chain runs so exemplar
+    // observations made during delivery (operator spans, e2e
+    // stages) can carry the ordinal `TRACE` will answer to. The
+    // claim invariant keeps per-pipeline reservations ordered.
+    if (queue.traces &&
+        trace->ring_ordinal() == TraceContext::kNoRingOrdinal) {
+      trace->set_ring_ordinal(queue.traces->Reserve());
+    }
+    // Frame-lifecycle stages up to the claim: `send` and `journal`
+    // come straight from the ingest anchors, observed once per
+    // frame — only the fork that owns the per-source stages (the
+    // first of a fan-out) reports them, and only while its chain
+    // still sits at the seeded anchor (a retried event has advanced
+    // past it). `queue` closes at the claim itself and is
+    // per-pipeline. Only FrameEnd events are staged so per-stage
+    // sums partition the frame's end-to-end latency.
+    if (item.event.kind == EventKind::kFrameEnd &&
+        trace->last_anchor_wall_us() != 0 && options_.metrics != nullptr) {
+      const uint64_t capture = trace->capture_wall_us();
+      const uint64_t admit = trace->admit_wall_us();
+      const uint64_t durable = trace->durable_wall_us();
+      const uint64_t seeded = durable ? durable : (admit ? admit : capture);
+      if (trace->observes_source_stages() &&
+          trace->last_anchor_wall_us() == seeded) {
+        if (capture != 0 && admit > capture) {
+          ObserveE2eStage(options_.metrics, "send", "source",
+                          trace->origin(), admit - capture, trace);
+        }
+        if (admit != 0 && durable > admit) {
+          ObserveE2eStage(options_.metrics, "journal", "source",
+                          trace->origin(), durable - admit, trace);
+        }
+      }
+      ObserveE2eStage(options_.metrics, "queue", "query", queue.name,
+                      trace->AdvanceStage(TraceWallNowUs()), trace);
+    }
+    // Activate for the chain: operators emit fresh events, so they
+    // read the trace from the thread-local, not the event.
+    ScopedTraceActivation activate(trace);
+    st = item.downstream->Consume(item.event);
+  }
+  if (st.ok() && trace != nullptr && queue.traces) {
+    // Claim still held, so `queue` cannot be removed under us; the
+    // ring is internally synchronized. Failed deliveries are not
+    // recorded — a retry would append a second set of spans (the
+    // reserved ordinal then stays a gap in the ring).
+    if (trace->ring_ordinal() != TraceContext::kNoRingOrdinal) {
+      queue.traces->PushReserved(trace->Finish());
+    } else {
+      queue.traces->Push(trace->Finish());
+    }
+  }
+  lock.lock();
+  if (st.ok()) {
+    ++queue.stats.processed;
+    queue.attempts = 0;
+  } else {
+    HandleFailureLocked(lock, queue, std::move(item), st);
+  }
+  queue.busy = false;
+  --busy_count_;
+  // Callers draining without workers wait on idle_ for claims too.
+  if (removals_waiting_ > 0 || options_.workers == 0) idle_.notify_all();
+  if (!queue.events.empty()) work_available_.notify_one();
+  if (busy_count_ == 0 && AllQueuesEmptyLocked()) idle_.notify_all();
 }
 
 PipelineHealth QueryScheduler::HealthLocked(const Queue& queue) const {

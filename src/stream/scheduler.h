@@ -18,6 +18,16 @@
 // admitted so downstream buffering operators see well-formed frame
 // sequences, with overshoot counted in `control_overflow`.
 //
+// Execution: with `workers` > 0 a pool of threads claims and drains
+// the queues. With `workers` == 0 there are no threads and the caller
+// runs the work: RunPending() (what the server's ingest boundary calls
+// after it releases its own locks), WaitIdle() and Stop() claim and
+// deliver queued events on the calling thread, exactly as a pool
+// worker would — under the pipeline's claim, with supervision, dead
+// letters and traces unchanged. A call made while the thread is
+// already draining this scheduler (an operator's output re-entering
+// the server) only enqueues; the outer drain picks the events up.
+//
 // Failure domains: each pipeline is its own failure domain. A non-OK
 // status from a pipeline's operator chain is handed to the
 // PipelineSupervisor, which classifies it (see stream/supervisor.h):
@@ -62,8 +72,8 @@ struct SchedulerOptions {
   /// Per-pipeline bound; point batches beyond it are shed (and
   /// counted) rather than blocking the ingest thread.
   size_t queue_capacity = 1024;
-  /// Worker threads draining the queues. 0 resolves to
-  /// std::thread::hardware_concurrency().
+  /// Worker threads draining the queues. 0 = no threads: callers run
+  /// the work (RunPending / WaitIdle / Stop), see the file comment.
   size_t workers = 1;
   /// When true, Enqueue returns ResourceExhausted for a shed batch so
   /// producers can react; when false (default) shedding is silent and
@@ -180,7 +190,7 @@ class QueryScheduler {
   /// producers first (entry sinks become dangling).
   Status RemovePipeline(size_t pipeline);
 
-  /// Starts the worker pool.
+  /// Starts the worker pool (with no workers: admits enqueues).
   Status Start();
 
   /// Drains every healthy queue and joins the workers. Per-pipeline
@@ -190,8 +200,17 @@ class QueryScheduler {
 
   /// Blocks until every healthy queue is empty and no worker is
   /// mid-event. Pipelines waiting out a retry backoff count as
-  /// non-idle until the redelivery resolves.
+  /// non-idle until the redelivery resolves. With no workers the
+  /// calling thread drains, sleeping out backoffs.
   Status WaitIdle();
+
+  /// With no workers: delivers every claimable event on the calling
+  /// thread, including events enqueued meanwhile, and returns without
+  /// waiting for backoffs or other threads' claims. A no-op that takes
+  /// no lock with a pool, and a no-op when called from inside a drain
+  /// of this scheduler. The caller must hold no lock a delivery may
+  /// take.
+  void RunPending();
 
   /// Health / recorded error of one pipeline.
   PipelineHealth Health(size_t pipeline) const;
@@ -221,7 +240,8 @@ class QueryScheduler {
   /// Pool-wide totals across all pipelines (thread-safe snapshot).
   ScheduledQueueStats AggregateStats() const;
 
-  size_t num_workers() const { return resolved_workers_; }
+  /// Pool threads; 0 when callers run the work.
+  size_t num_workers() const { return options_.workers; }
   /// Currently registered (not removed) pipelines.
   size_t num_pipelines() const;
 
@@ -254,6 +274,15 @@ class QueryScheduler {
   Status Enqueue(size_t index, EventSink* downstream,
                  const StreamEvent& event);
   void WorkerLoop();
+  /// Claims queue `index`, delivers its head event with the lock
+  /// released, then settles the outcome and releases the claim. The
+  /// one place events run, for workers and callers alike.
+  void RunClaimedLocked(std::unique_lock<std::mutex>& lock, size_t index);
+  /// No workers: delivers claimable events on this thread; with
+  /// `until_idle` also sleeps out backoffs and other threads' claims
+  /// until every healthy queue is empty.
+  void DrainOnCallerLocked(std::unique_lock<std::mutex>& lock,
+                           bool until_idle);
   /// Handles a non-OK delivery status for the claimed queue. Called
   /// with the lock held and the claim still taken; may drop the lock
   /// to run the pipeline's reset hook. `item` is the failed delivery.
@@ -281,13 +310,14 @@ class QueryScheduler {
 
   SchedulerOptions options_;
   PipelineSupervisor supervisor_;
-  size_t resolved_workers_ = 1;
   /// Resolved once at construction from options_.metrics (null when
   /// no registry was supplied).
   MetricHistogram* queue_wait_hist_ = nullptr;
   MetricHistogram* queue_depth_hist_ = nullptr;
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
+  /// Idle waiters; with no workers also the callers draining (woken by
+  /// every enqueue and claim release).
   std::condition_variable idle_;
   /// Removed pipelines leave a null slot, recycled by free_slots_.
   std::vector<std::unique_ptr<Queue>> queues_;

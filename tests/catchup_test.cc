@@ -3,7 +3,7 @@
 // then cuts over to the live stream exactly once at a frame-id
 // watermark. These tests audit the seam — the delivered frame-id
 // sequence must be gapless and duplicate-free across the cut-over —
-// under synchronous and worker-pool execution, empty stores, mid-frame
+// at workers 0 and N, empty stores, mid-frame
 // late attaches, SINCE offsets, and temporal windows spanning
 // past + future.
 

@@ -1457,13 +1457,17 @@ long long StageSeriesValue(const std::string& metrics,
   return -1;
 }
 
-TEST(LatencyPlaneE2eTest, StageHistogramsPartitionEndToEndLatency) {
+/// The stage histograms partition a frame's end-to-end latency, with
+/// `workers` scheduler threads (0 = the ingest session's reader thread
+/// runs the pipelines).
+void CheckStageHistogramsPartitionEndToEndLatency(size_t workers) {
   std::string journal_dir = ::testing::TempDir() + "gslatency-" +
-                            std::to_string(::getpid());
+                            std::to_string(::getpid()) + "-" +
+                            std::to_string(workers);
   std::filesystem::remove_all(journal_dir);
 
   DsmsOptions options;
-  options.workers = 1;
+  options.workers = workers;
   options.trace_sample_every = 1;
   options.journal_dir = journal_dir;  // enables the `journal` stage
   IngestFixture fixture({}, options);
@@ -1593,13 +1597,23 @@ TEST(LatencyPlaneE2eTest, StageHistogramsPartitionEndToEndLatency) {
   std::filesystem::remove_all(journal_dir);
 }
 
-TEST(LatencyPlaneE2eTest, SourceStagesObservedOncePerFrameUnderFanOut) {
+TEST(LatencyPlaneE2eTest, StageHistogramsPartitionEndToEndLatency) {
+  CheckStageHistogramsPartitionEndToEndLatency(1);
+}
+
+TEST(LatencyPlaneE2eTest, StageHistogramsPartitionEndToEndLatencyAtWorkers0) {
+  CheckStageHistogramsPartitionEndToEndLatency(0);
+}
+
+/// Per-source stages land once per frame under a two-pipeline fan-out.
+void CheckSourceStagesObservedOncePerFrame(size_t workers) {
   std::string journal_dir = ::testing::TempDir() + "gsfanout-" +
-                            std::to_string(::getpid());
+                            std::to_string(::getpid()) + "-" +
+                            std::to_string(workers);
   std::filesystem::remove_all(journal_dir);
 
   DsmsOptions options;
-  options.workers = 1;
+  options.workers = workers;
   options.trace_sample_every = 1;
   options.journal_dir = journal_dir;  // enables the `journal` stage
   IngestFixture fixture({}, options);
@@ -1652,6 +1666,14 @@ TEST(LatencyPlaneE2eTest, SourceStagesObservedOncePerFrameUnderFanOut) {
   b.Close();
   producer.Close();
   std::filesystem::remove_all(journal_dir);
+}
+
+TEST(LatencyPlaneE2eTest, SourceStagesObservedOncePerFrameUnderFanOut) {
+  CheckSourceStagesObservedOncePerFrame(1);
+}
+
+TEST(LatencyPlaneE2eTest, SourceStagesObservedOncePerFrameAtWorkers0) {
+  CheckSourceStagesObservedOncePerFrame(0);
 }
 
 /// Count of the e2e stage series labeled with `stage` and

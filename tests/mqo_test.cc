@@ -187,6 +187,62 @@ TEST(SharedRestrictionTest, UnregisterStopsDelivery) {
   EXPECT_EQ(op.UnregisterQuery(1).code(), StatusCode::kNotFound);
 }
 
+/// Fails the first point batch it is handed, collects the rest.
+class FailFirstBatchSink : public EventSink {
+ public:
+  Status Consume(const StreamEvent& event) override {
+    if (event.kind == EventKind::kPointBatch && !failed_) {
+      failed_ = true;
+      return Status::Internal("subscriber down");
+    }
+    return collected_.Consume(event);
+  }
+  const CollectingSink& collected() const { return collected_; }
+
+ private:
+  bool failed_ = false;
+  CollectingSink collected_;
+};
+
+TEST(SharedRestrictionTest, FailingSubscriberDoesNotStallOthers) {
+  // Subscriber 1 fails its first batch. Subscriber 2 (iterated after
+  // it) must still get every row as its own batch under its own frame
+  // id, not hold row 0 back and receive it glued to row 1.
+  GridLattice lattice = LatLonLattice(4, 2);
+  auto op = SharedRestrictionOp(std::make_unique<FilterBank>());
+  FailFirstBatchSink failing;
+  CollectingSink healthy;
+  GS_ASSERT_OK(op.RegisterQuery(1, AllRegion::Instance(), &failing));
+  GS_ASSERT_OK(op.RegisterQuery(2, AllRegion::Instance(), &healthy));
+  FrameInfo info;
+  info.frame_id = 3;
+  info.lattice = lattice;
+  info.expected_points = lattice.num_cells();
+  GS_ASSERT_OK(op.Consume(StreamEvent::FrameBegin(info)));
+  for (int32_t row = 0; row < 2; ++row) {
+    auto batch = std::make_shared<PointBatch>();
+    batch->frame_id = 3;
+    batch->band_count = 1;
+    for (int32_t col = 0; col < 4; ++col) {
+      batch->Append1(col, row, 3, testing_util::TestValue(3, col, row));
+    }
+    const Status st = op.Consume(StreamEvent::Batch(std::move(batch)));
+    EXPECT_EQ(st.ok(), row != 0) << st.ToString();
+  }
+  GS_ASSERT_OK(op.Consume(StreamEvent::FrameEnd(info)));
+
+  std::vector<size_t> batch_sizes;
+  for (const StreamEvent& e : healthy.events()) {
+    if (e.kind != EventKind::kPointBatch) continue;
+    batch_sizes.push_back(e.batch->size());
+    EXPECT_EQ(e.batch->frame_id, 3);
+  }
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{4, 4}));
+  EXPECT_EQ(healthy.NumFrames(), 1u);
+  // The failed subscriber lost only its failed row.
+  EXPECT_EQ(failing.collected().TotalPoints(), 4u);
+}
+
 TEST(SharedRestrictionTest, BatchesPreserveValuesAndTimestamps) {
   GridLattice lattice = LatLonLattice(6, 4);
   auto op = SharedRestrictionOp(

@@ -774,7 +774,9 @@ TEST(ServerDlqTest, RestartQueryGrantsFreshPoisonBudget) {
 }
 
 TEST(ServerDlqTest, SynchronousServerHasEmptyDlqAndNoopRestart) {
-  NetFixture fixture;  // workers = 0
+  // workers = 0 is supervised like a pool: a healthy query's DLQ is
+  // empty and RESTART is a no-op.
+  NetFixture fixture;
   std::atomic<int> frames{0};
   auto id = fixture.server().RegisterQuery(
       "goes.band1", [&](int64_t, const Raster&, const std::vector<uint8_t>&) {

@@ -615,36 +615,48 @@ TEST(ObsE2eTest, SamplingDisabledProducesNoTraces) {
       << *header;
 }
 
-TEST(ObsE2eTest, SynchronousServerTracesInline) {
-  // workers=0: the whole fan-out runs on the ingest thread; sampled
-  // traces land in the server-wide inline ring.
+TEST(ObsE2eTest, CallerRunsServerKeepsPerQueryTraceRings) {
+  // workers=0: the ingest thread runs the pipelines itself, but traces
+  // still fork per pipeline at enqueue and land in each query's own
+  // ring, exactly as on a pool.
   DsmsOptions options;
   options.trace_sample_every = 1;
   ObsFixture fixture(options);
 
-  std::atomic<int> frames{0};
-  auto id = fixture.server().RegisterQuery(
+  std::atomic<int> frames1{0}, frames2{0};
+  auto id1 = fixture.server().RegisterQuery(
       "goes.band1", [&](int64_t, const Raster&, const std::vector<uint8_t>&) {
-        ++frames;
+        ++frames1;
       });
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto id2 = fixture.server().RegisterQuery(
+      "goes.band2", [&](int64_t, const Raster&, const std::vector<uint8_t>&) {
+        ++frames2;
+      });
+  ASSERT_TRUE(id1.ok()) << id1.status().ToString();
+  ASSERT_TRUE(id2.ok()) << id2.status().ToString();
   GS_ASSERT_OK(fixture.Ingest(0, 2));
-  EXPECT_EQ(frames.load(), 2);
+  EXPECT_EQ(frames1.load(), 2);
+  EXPECT_EQ(frames2.load(), 2);
 
-  auto traces = fixture.server().QueryTraces(*id);
-  ASSERT_TRUE(traces.ok()) << traces.status().ToString();
-  EXPECT_GT(traces->total, 0u);
-  ASSERT_FALSE(traces->records.empty());
-  // Inline traces have no scheduler queue: pipeline is empty and the
-  // wait is zero. Batches of the queried band carry operator spans
-  // (band2 batches feed no query, so their records stay span-free).
-  bool any_spans = false;
-  for (const TraceRecord& record : traces->records) {
-    EXPECT_TRUE(record.pipeline.empty());
-    EXPECT_EQ(record.queue_wait_us, 0u);
-    any_spans = any_spans || !record.spans.empty();
+  const std::pair<QueryId, std::string> rings[] = {
+      {*id1, StringPrintf("q%lld", static_cast<long long>(*id1))},
+      {*id2, StringPrintf("q%lld", static_cast<long long>(*id2))}};
+  for (const auto& [id, pipeline] : rings) {
+    auto traces = fixture.server().QueryTraces(id);
+    ASSERT_TRUE(traces.ok()) << traces.status().ToString();
+    EXPECT_GT(traces->total, 0u);
+    ASSERT_FALSE(traces->records.empty());
+    for (const TraceRecord& record : traces->records) {
+      // Only this query's pipeline, and only its own operators.
+      EXPECT_EQ(record.pipeline, pipeline);
+      EXPECT_FALSE(record.spans.empty());
+    }
   }
-  EXPECT_TRUE(any_spans);
+  uint64_t traced = 0;
+  for (const ScheduledQueueStats& stats : fixture.server().SchedulerStats()) {
+    traced += stats.traces;
+  }
+  EXPECT_GT(traced, 0u);
 }
 
 TEST(ObsE2eTest, SharedRestrictionCarriesTraceToPipelines) {
@@ -874,14 +886,6 @@ TEST(TraceTest, SourceStageOwnershipTransfersToFirstFork) {
   auto grand = first->Fork("q1.sub");
   EXPECT_TRUE(grand->observes_source_stages());
   EXPECT_FALSE(first->observes_source_stages());
-
-  // `total` is one-shot even on the owner (the inline workers=0 path
-  // runs one trace through every query's delivery chain).
-  TraceContext inline_root(2, "src");
-  EXPECT_TRUE(inline_root.ClaimTotalStage());
-  EXPECT_FALSE(inline_root.ClaimTotalStage());
-  EXPECT_FALSE(second->ClaimTotalStage());  // non-owner never claims
-  EXPECT_TRUE(grand->ClaimTotalStage());
 }
 
 TEST(TraceRingTest, ReserveAssignsOrdinalsBeforePush) {
@@ -961,7 +965,7 @@ TEST(EventLogTest, ConcurrentAppendsAssignUniqueOrdinals) {
 // Freshness
 
 TEST(ObsE2eTest, FreshnessGaugeAgesWhileSourceIsIdle) {
-  ObsFixture fixture;  // synchronous server: ingest on this thread
+  ObsFixture fixture;  // workers = 0: ingest runs the pipelines
   GS_ASSERT_OK(fixture.Ingest(0, 1));
 
   auto freshness = [&]() -> long long {

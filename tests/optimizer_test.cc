@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "query/explain.h"
 #include "query/parser.h"
@@ -275,6 +276,10 @@ struct EquivalenceCase {
   const char* name;
   const char* query;
 };
+
+// GoogleTest would otherwise print the two pointers' bytes into every
+// test name, which CTest then registers per load address.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) { *os << c.name; }
 
 class RewriteEquivalence : public ::testing::TestWithParam<EquivalenceCase> {
  protected:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
 #include "server/scan_schedule.h"
 #include "server/stream_generator.h"
@@ -407,9 +408,9 @@ TEST(DsmsServerTest, ShedQueryThroughServer) {
 
 
 TEST(DsmsServerTest, WorkerPoolMatchesSynchronousDelivery) {
-  // The same queries through a 4-worker pool and synchronously must
-  // deliver pixel-identical frames (per-query event order is the
-  // scheduler's ordering invariant).
+  // The same queries through a 4-worker pool and run by the ingest
+  // thread (workers = 0) must deliver pixel-identical frames
+  // (per-query event order is the scheduler's ordering invariant).
   const char* queries[] = {
       "region(goes.band1, bbox(-120, 28, -100, 45))",
       "ndvi(goes.band2, goes.band1)",
@@ -507,6 +508,225 @@ TEST(DsmsServerTest, ExplainAnalyzeShowsRuntimeCounters) {
   EXPECT_EQ(text->find("points_in=0 "), std::string::npos);
   EXPECT_FALSE(fixture.server().ExplainAnalyze(12345).ok());
 }
+
+TEST(DsmsServerTest, PrivatePlansReportDistinctBufferedBytes) {
+  // Every private plan names its operators op1.<kind>, op2.<kind>…;
+  // the memory tracker must still hold one figure per operator
+  // instance, so N identical plans buffering the same half-frame
+  // report N times the bytes of one.
+  auto buffered = [](int queries) {
+    DsmsOptions options;
+    options.shared_restriction = false;
+    DsmsServer server(options);
+    for (const char* band : {"a.b2", "a.b1"}) {
+      EXPECT_TRUE(server.RegisterStream(testing_util::TestDescriptor(band)).ok());
+    }
+    for (int q = 0; q < queries; ++q) {
+      auto id = server.RegisterQuery(
+          "ndvi(a.b2, a.b1)",
+          [](int64_t, const Raster&, const std::vector<uint8_t>&) {});
+      EXPECT_TRUE(id.ok()) << id.status().ToString();
+    }
+    // Band 2's half of frame 0: the compositions buffer it while they
+    // wait for band 1.
+    const GridLattice lattice = testing_util::LatLonLattice(16, 12);
+    EXPECT_TRUE(testing_util::PushFrame(server.ingest("a.b2"), lattice, 0).ok());
+    EXPECT_TRUE(server.Flush().ok());
+    return server.memory().TotalBytes();
+  };
+  const uint64_t one = buffered(1);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(buffered(2), 2 * one);
+}
+
+// --- One execution model: workers = 0 runs the same scheduler
+// --- pipelines as a pool, on the threads that ingest.
+
+class ExecutionModelTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  DsmsOptions Options() const {
+    DsmsOptions options;
+    options.workers = GetParam();
+    return options;
+  }
+};
+
+TEST_P(ExecutionModelTest, TwoProducersFeedOneComposition) {
+  // One producer thread per band, both feeding one shared NDVI node
+  // (as two network producer connections do). The node's pipeline is
+  // claimed by one thread at a time, so every frame arrives once and
+  // matches a single-threaded run.
+  const char* kQuery = "ndvi(goes.band2, goes.band1)";
+  StreamGenerator gen(ServerFixture::MakeConfig(),
+                      ScanSchedule::GoesRoutine());
+  GS_ASSERT_OK(gen.Init());
+  CollectingSink band2, band1;
+  GS_ASSERT_OK(gen.GenerateScans(0, 6, {&band2, &band1}));
+  auto run = [&](DsmsOptions options, bool concurrent) {
+    DsmsServer server(options);
+    for (size_t b = 0; b < 2; ++b) {
+      EXPECT_TRUE(server.RegisterStream(*gen.Descriptor(b)).ok());
+    }
+    auto capture = std::make_unique<Capture>();
+    auto id = server.RegisterQuery(kQuery, capture->Callback());
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    auto feed = [&server](const char* band, const CollectingSink* events) {
+      EventSink* ingest = server.ingest(band);
+      for (const StreamEvent& event : events->events()) {
+        EXPECT_TRUE(ingest->Consume(event).ok());
+      }
+    };
+    if (concurrent) {
+      std::thread t2(feed, "goes.band2", &band2);
+      std::thread t1(feed, "goes.band1", &band1);
+      t2.join();
+      t1.join();
+    } else {
+      feed("goes.band2", &band2);
+      feed("goes.band1", &band1);
+    }
+    EXPECT_TRUE(server.Flush().ok());
+    EXPECT_EQ(*server.QueryHealth(*id), PipelineHealth::kRunning);
+    return capture;
+  };
+  auto reference = run(DsmsOptions{}, /*concurrent=*/false);
+  auto got = run(Options(), /*concurrent=*/true);
+  ASSERT_EQ(reference->frames.size(), 6u);
+  std::map<int64_t, const Raster*> by_id;
+  for (const auto& [frame_id, raster] : got->frames) {
+    EXPECT_TRUE(by_id.emplace(frame_id, &raster).second)
+        << "frame " << frame_id << " delivered twice";
+  }
+  ASSERT_EQ(by_id.size(), reference->frames.size());
+  for (const auto& [frame_id, raster] : reference->frames) {
+    ASSERT_EQ(by_id.count(frame_id), 1u) << "frame " << frame_id;
+    auto diff = Raster::AbsDifference(*by_id[frame_id], raster);
+    ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+    EXPECT_EQ(*diff, 0.0) << "frame " << frame_id;
+  }
+}
+
+TEST_P(ExecutionModelTest, PlansRegisteredMidFrameStartAtTheNextFrame) {
+  // A continuous view and a private (shared_restriction=false) plan
+  // wired while their sources are mid-frame skip that frame's tail
+  // instead of failing on it: no quarantine, and the first frame they
+  // deliver is the next complete one.
+  const GridLattice lattice = testing_util::LatLonLattice(16, 12);
+  FrameInfo frame0;
+  frame0.frame_id = 0;
+  frame0.lattice = lattice;
+  frame0.expected_points = lattice.num_cells();
+  auto row = [&](int64_t r) {
+    auto batch = std::make_shared<PointBatch>();
+    batch->frame_id = 0;
+    batch->band_count = 1;
+    for (int64_t c = 0; c < lattice.width(); ++c) {
+      batch->Append1(static_cast<int32_t>(c), static_cast<int32_t>(r), 0,
+                     testing_util::TestValue(0, c, r));
+    }
+    return StreamEvent::Batch(std::move(batch));
+  };
+  for (bool shared : {true, false}) {
+    SCOPED_TRACE(shared ? "shared restriction" : "private plans");
+    DsmsOptions options = Options();
+    options.shared_restriction = shared;
+    DsmsServer server(options);
+    for (const char* band : {"a.b2", "a.b1"}) {
+      GS_ASSERT_OK(server.RegisterStream(testing_util::TestDescriptor(band)));
+    }
+    // Frame 0 is half ingested on both bands when the plans register.
+    for (const char* band : {"a.b2", "a.b1"}) {
+      GS_ASSERT_OK(server.ingest(band)->Consume(StreamEvent::FrameBegin(frame0)));
+      for (int64_t r = 0; r < 6; ++r) {
+        GS_ASSERT_OK(server.ingest(band)->Consume(row(r)));
+      }
+    }
+    GS_ASSERT_OK(server.Flush());
+    auto view = server.RegisterDerivedStream("a.ndvi", "ndvi(a.b2, a.b1)");
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    Capture on_view, direct;
+    auto q1 = server.RegisterQuery("a.ndvi", on_view.Callback());
+    auto q2 = server.RegisterQuery("ndvi(a.b2, a.b1)", direct.Callback());
+    ASSERT_TRUE(q1.ok()) << q1.status().ToString();
+    ASSERT_TRUE(q2.ok()) << q2.status().ToString();
+    for (const char* band : {"a.b2", "a.b1"}) {
+      for (int64_t r = 6; r < lattice.height(); ++r) {
+        GS_ASSERT_OK(server.ingest(band)->Consume(row(r)));
+      }
+      GS_ASSERT_OK(server.ingest(band)->Consume(StreamEvent::FrameEnd(frame0)));
+    }
+    for (const char* band : {"a.b2", "a.b1"}) {
+      GS_ASSERT_OK(testing_util::PushFrame(server.ingest(band), lattice, 1));
+    }
+    GS_ASSERT_OK(server.Flush());
+    for (QueryId id : {*view, *q1, *q2}) {
+      EXPECT_EQ(*server.QueryHealth(id), PipelineHealth::kRunning)
+          << "query " << id << ": " << server.QueryError(id).ToString();
+    }
+    for (const Capture* capture : {&on_view, &direct}) {
+      ASSERT_EQ(capture->frames.size(), 1u);
+      EXPECT_EQ(capture->frames[0].first, 1);
+      EXPECT_EQ(capture->frames[0].second.num_pixels(), lattice.num_cells());
+    }
+  }
+}
+
+TEST_P(ExecutionModelTest, PoisonQuarantinesOnlyItsQueryAndRestartRearms) {
+  // Supervision is the same at every worker count: a poison event
+  // dead-letters and quarantines only the query it reached, the other
+  // queries keep delivering, and RESTART re-arms the quarantined one.
+  DsmsServer server(Options());
+  for (const char* band : {"a.b2", "a.b1"}) {
+    GS_ASSERT_OK(server.RegisterStream(testing_util::TestDescriptor(band)));
+  }
+  Capture healthy_a, healthy_b, poisoned;
+  auto a = server.RegisterQuery("region(a.b2, bbox(-125, 40, -121, 45))",
+                                healthy_a.Callback());
+  auto b = server.RegisterQuery("a.b2", healthy_b.Callback());
+  auto p = server.RegisterQuery("region(a.b1, bbox(-125, 40, -121, 45))",
+                                poisoned.Callback());
+  ASSERT_TRUE(a.ok() && b.ok() && p.ok());
+  const GridLattice lattice = testing_util::LatLonLattice(16, 12);
+  GS_ASSERT_OK(testing_util::PushFrame(server.ingest("a.b2"), lattice, 0));
+  GS_ASSERT_OK(testing_util::PushFrame(server.ingest("a.b1"), lattice, 0));
+
+  // A nested FrameBegin is a protocol violation: poison for the query
+  // reading a.b1, never an ingest error.
+  FrameInfo info;
+  info.lattice = lattice;
+  info.frame_id = 1;
+  GS_ASSERT_OK(server.ingest("a.b1")->Consume(StreamEvent::FrameBegin(info)));
+  info.frame_id = 2;
+  GS_ASSERT_OK(server.ingest("a.b1")->Consume(StreamEvent::FrameBegin(info)));
+  GS_ASSERT_OK(server.Flush());
+  EXPECT_EQ(*server.QueryHealth(*p), PipelineHealth::kQuarantined);
+  EXPECT_EQ(server.QueryError(*p).code(), StatusCode::kFailedPrecondition);
+  auto letters = server.DeadLetters(*p);
+  ASSERT_TRUE(letters.ok());
+  EXPECT_EQ(letters->size(), 1u);
+
+  for (int64_t frame = 1; frame <= 2; ++frame) {
+    GS_ASSERT_OK(
+        testing_util::PushFrame(server.ingest("a.b2"), lattice, frame));
+  }
+  GS_ASSERT_OK(server.Flush());
+  for (QueryId id : {*a, *b}) {
+    EXPECT_EQ(*server.QueryHealth(id), PipelineHealth::kRunning);
+  }
+  EXPECT_EQ(healthy_a.frames.size(), 3u);
+  EXPECT_EQ(healthy_b.frames.size(), 3u);
+  EXPECT_EQ(poisoned.frames.size(), 1u);
+
+  GS_ASSERT_OK(server.RestartQuery(*p));
+  EXPECT_EQ(*server.QueryHealth(*p), PipelineHealth::kRunning);
+  GS_ASSERT_OK(testing_util::PushFrame(server.ingest("a.b1"), lattice, 3));
+  GS_ASSERT_OK(server.Flush());
+  ASSERT_EQ(poisoned.frames.size(), 2u);
+  EXPECT_EQ(poisoned.frames[1].first, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ExecutionModelTest,
+                         ::testing::Values(size_t{0}, size_t{2}));
 
 }  // namespace
 }  // namespace geostreams
